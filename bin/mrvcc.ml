@@ -12,7 +12,6 @@
      mrvcc simulate --bench parser --mode H      # a bundled benchmark
      mrvcc simulate --bench mcf --sync-sched     # with the sync scheduler
      mrvcc simulate --bench mcf --engine ref     # cycle-stepped oracle engine
-     mrvcc simulate --bench mcf --icode off      # boxed-IR event dispatcher
      mrvcc analyze --bench mcf                   # static stall + violation model
      mrvcc analyze --bench mcf --validate        # ... checked against the sim
      mrvcc analyze --bench mcf --json            # machine-readable estimates
@@ -21,7 +20,7 @@
      mrvcc chaos --bench all --jobs 4            # same matrix, 4 domains
      mrvcc chaos --fuzz 20 --seed 7              # chaos-fuzz generated programs
      mrvcc chaos --bench all --capacity          # finite-resource sweep
-     mrvcc bench --json --out BENCH_PR9.json     # machine-readable baseline
+     mrvcc bench --json --out BENCH_PR12.json    # machine-readable baseline
      mrvcc bench --bench mcf --json              # one workload, to stdout
      mrvcc exec --bench parser --domains 4       # real TLS run on domains
      mrvcc exec --bench go --mode U --record r.jsonl   # record a racy run
@@ -32,7 +31,7 @@
      mrvcc serve requests.jsonl --cache-dir .cache --deadline 5 --retries 2
      mrvcc chaos --serve --bench twolf,ijpeg     # service-layer fault matrix
      mrvcc bench --json --serve --out B.json     # + serve load phases
-     mrvcc benchdiff BENCH_PR10.json fresh.json  # perf-regression gate
+     mrvcc benchdiff BENCH_PR12.json fresh.json  # perf-regression gate
      mrvcc benchdiff old.json new.json --tolerance 0.3
 
    `--jobs N` runs independent matrix cells on N domains; the rendered
@@ -43,11 +42,10 @@
    `--spec-lines N` (with `--overflow-policy stall|squash`) and
    `--fwd-queue N` (DESIGN §12), plus `--engine ref|event` to pick the
    simulator core (DESIGN §15; both engines are byte-identical, `event`
-   is the default and the fast one) and `--icode on|off` to toggle the
-   flat instruction encoding the event engine dispatches on (DESIGN
-   §17).  `benchdiff OLD NEW` compares two bench baselines: exact
-   equality on deterministic counters, `--tolerance`-bounded growth on
-   per-phase wall geomeans; exit 1 on regression.
+   is the default and the fast one).  `benchdiff OLD NEW` compares two
+   bench baselines: exact equality on deterministic counters,
+   `--tolerance`-bounded growth on per-phase wall geomeans; exit 1 on
+   regression.
 
    Exit codes: 0 success; 1 findings / failed cells / output mismatch;
    2 usage error; 3 simulator deadlock; 4 simulator stuck (watchdog or
@@ -60,12 +58,23 @@
    wedged (exec wall-clock watchdog fired, typed Specrt_stuck); 11 an
    epoch exhausted its abort budget under exec (typed Abort_exhausted). *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* [reading path f] runs [f path]; a [path] the user named that does
+   not exist or cannot be read is a usage error (exit 2), not an
+   internal one. *)
+let reading path f =
+  try f path
+  with Sys_error msg ->
+    let prefix = path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix msg then
+        String.sub msg (String.length prefix)
+          (String.length msg - String.length prefix)
+      else msg
+    in
+    Printf.eprintf "mrvcc: cannot read %s: %s\n" path reason;
+    exit 2
+
+let read_file path = reading path In_channel.(fun p -> with_open_bin p input_all)
 
 let parse_input_list s =
   if String.equal s "" then [||]
@@ -430,7 +439,10 @@ let cmd_benchdiff old_file new_file tolerance =
     Printf.eprintf "--tolerance must be non-negative (got %g)\n" tolerance;
     exit 2
   end;
-  match Harness.Bench.compare_files ~tolerance old_path new_path with
+  match
+    Harness.Bench.compare_strings ~tolerance ~old_name:old_path
+      ~new_name:new_path (read_file old_path) (read_file new_path)
+  with
   | Ok report ->
     print_string report;
     Printf.printf "perf gate: OK (%s -> %s)\n" old_path new_path
@@ -441,7 +453,7 @@ let cmd_benchdiff old_file new_file tolerance =
     exit 1
 
 let cmd_simulate file bench input threshold mode mutate max_cycles limits
-    sync_sched engine icode =
+    sync_sched engine =
   let source, input = resolve_program file bench input in
   with_errors (fun () ->
       let memory_sync =
@@ -467,7 +479,6 @@ let cmd_simulate file bench input threshold mode mutate max_cycles limits
           (apply_limits limits (apply_budget max_cycles (config_of_mode mode)))
           with
           Tls.Config.engine;
-          icode;
         }
       in
       let bounded =
@@ -556,6 +567,7 @@ let parse_exec_fault s =
 let cmd_exec file bench input threshold mode sync_sched
     (domains, watchdog_ms, max_aborts, record, replay, injects) =
   let source, input = resolve_program file bench input in
+  let replay = Option.map (fun p -> reading p Specrt.read_log) replay in
   with_errors (fun () ->
       let memory_sync =
         match mode with
@@ -576,7 +588,7 @@ let cmd_exec file bench input threshold mode sync_sched
           watchdog_ms;
           max_aborts;
           faults = List.map parse_exec_fault injects;
-          replay = Option.map Specrt.read_log replay;
+          replay;
         }
       in
       let r = guarded (fun () -> Specrt.run ~opts cfg code ~input) in
@@ -1347,18 +1359,6 @@ let engine_arg =
            produce byte-identical results; $(b,ref) exists as the oracle \
            the differential suite locks the event core against.")
 
-let icode_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "icode" ] ~docv:"on|off"
-        ~doc:
-          "Whether the event engine dispatches on the flat pre-resolved \
-           icode encoding (default, DESIGN §17) or interprets the boxed \
-           IR directly. Results are byte-identical; $(b,off) is the \
-           escape hatch and the baseline the icode speedup is measured \
-           against.")
-
 let tolerance_arg =
   Arg.(
     value & opt float 0.5
@@ -1532,7 +1532,7 @@ let limits_term =
 
 let main action file file2 bench input threshold mode mutate modes fuzz seed
     jobs max_cycles json out matrix capacity timeout retry limits sync_sched
-    engine icode tolerance validate serve serve_opts exec_flag exec_opts =
+    engine tolerance validate serve serve_opts exec_flag exec_opts =
   match action with
   | `Dump_ir -> cmd_dump_ir file bench input
   | `Run -> cmd_run file bench input
@@ -1542,7 +1542,7 @@ let main action file file2 bench input threshold mode mutate modes fuzz seed
   | `Lint -> cmd_lint file bench input threshold mutate
   | `Simulate ->
     cmd_simulate file bench input threshold mode mutate max_cycles limits
-      sync_sched engine icode
+      sync_sched engine
   | `Exec -> cmd_exec file bench input threshold mode sync_sched exec_opts
   | `Analyze ->
     cmd_analyze file bench input threshold mode sync_sched json validate
@@ -1566,7 +1566,7 @@ let cmd =
       $ threshold_arg $ mode_arg $ mutate_arg $ modes_arg $ fuzz_arg
       $ seed_arg $ jobs_arg $ max_cycles_arg $ json_arg $ out_arg
       $ matrix_arg $ capacity_arg $ timeout_arg $ retry_arg $ limits_term
-      $ sync_sched_arg $ engine_arg $ icode_arg $ tolerance_arg
+      $ sync_sched_arg $ engine_arg $ tolerance_arg
       $ validate_arg $ serve_flag_arg $ serve_opts_term $ exec_flag_arg
       $ exec_opts_term)
 

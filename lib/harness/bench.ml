@@ -2,7 +2,6 @@ type phase = {
   ph_name : string;
   ph_wall_ns : int;
   ph_ref_wall_ns : int option;
-  ph_icode_off_wall_ns : int option;
   ph_minor_words : float;
   ph_major_words : float;
   ph_cycles : int option;
@@ -40,7 +39,7 @@ type t = {
   bench_serve : serve_phase list;
 }
 
-let schema_version = 9
+let schema_version = 10
 
 let phase_names =
   [
@@ -51,11 +50,7 @@ let phase_names =
 (* The TLS sim phases are run on both engines since schema v7:
    [wall_ns] is the event engine (the default), [ref_wall_ns] the
    cycle-stepped oracle on the same compiled code and input.  [sim_seq]
-   has a single shared implementation, so it carries no ref time.
-   Schema v9 adds a third timing to the same phases: [icode_off_wall_ns],
-   the event engine with the flat icode encoding disabled (the boxed
-   variant dispatcher), so the committed baseline records what the
-   encoding buys separately from what event-driven scheduling buys. *)
+   has a single shared implementation, so it carries no ref time. *)
 let dual_engine_phase_names = [ "sim_tls"; "sim_tls_sched"; "sim_tls_bounded" ]
 
 (* [exec_tls] (schema v8) is not a simulation: it runs the compiled code
@@ -93,7 +88,6 @@ let timed_phase name f =
       ph_name = name;
       ph_wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
       ph_ref_wall_ns = None;
-      ph_icode_off_wall_ns = None;
       ph_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
       ph_major_words = g1.Gc.major_words -. g0.Gc.major_words;
       ph_cycles = None;
@@ -103,13 +97,11 @@ let timed_phase name f =
 
 (* A sim phase reuses the simulator's own runtime counters so the JSON
    surfaces exactly what Simstats recorded, not a second measurement. *)
-let sim_phase ?ref_wall ?icode_off_wall name
-    (rt : Tls.Simstats.runtime_counters) ~cycles =
+let sim_phase ?ref_wall name (rt : Tls.Simstats.runtime_counters) ~cycles =
   {
     ph_name = name;
     ph_wall_ns = rt.Tls.Simstats.rt_wall_ns;
     ph_ref_wall_ns = ref_wall;
-    ph_icode_off_wall_ns = icode_off_wall;
     ph_minor_words = rt.Tls.Simstats.rt_minor_words;
     ph_major_words = rt.Tls.Simstats.rt_major_words;
     ph_cycles = Some cycles;
@@ -151,13 +143,6 @@ let bench_workload (w : Workloads.Workload.t) =
   let ref_engine cfg = { cfg with Tls.Config.engine = Tls.Config.Engine_ref } in
   let ref_wall cfg code =
     let r = Tls.Sim.run (ref_engine cfg) code ~input:ref_input () in
-    r.Tls.Simstats.runtime.Tls.Simstats.rt_wall_ns
-  in
-  (* Third timing of the same run (schema v9): the event engine with the
-     flat icode encoding off, i.e. the boxed variant dispatcher. *)
-  let icode_off_wall cfg code =
-    let cfg = { cfg with Tls.Config.icode = false } in
-    let r = Tls.Sim.run cfg code ~input:ref_input () in
     r.Tls.Simstats.runtime.Tls.Simstats.rt_wall_ns
   in
   let tls =
@@ -212,18 +197,12 @@ let bench_workload (w : Workloads.Workload.t) =
         sim_phase "sim_seq" seq.Tls.Simstats.sq_runtime
           ~cycles:seq.Tls.Simstats.sq_cycles;
         sim_phase "sim_tls" tls.Tls.Simstats.runtime ~ref_wall:tls_ref_wall
-          ~icode_off_wall:
-            (icode_off_wall Tls.Config.c_mode compiled.Tlscore.Pipeline.code)
           ~cycles:tls.Tls.Simstats.total_cycles;
         sim_phase "sim_tls_sched" tls_sched.Tls.Simstats.runtime
           ~ref_wall:sched_ref_wall
-          ~icode_off_wall:
-            (icode_off_wall Tls.Config.c_mode scheduled.Tlscore.Pipeline.code)
           ~cycles:tls_sched.Tls.Simstats.total_cycles;
         sim_phase "sim_tls_bounded" tls_bounded.Tls.Simstats.runtime
           ~ref_wall:bounded_ref_wall
-          ~icode_off_wall:
-            (icode_off_wall bounded_cfg compiled.Tlscore.Pipeline.code)
           ~cycles:tls_bounded.Tls.Simstats.total_cycles;
         exec_phase;
       ];
@@ -243,10 +222,6 @@ let phase_json b (p : phase) =
        p.ph_wall_ns);
   (match p.ph_ref_wall_ns with
   | Some r -> Buffer.add_string b (Printf.sprintf ", \"ref_wall_ns\": %d" r)
-  | None -> ());
-  (match p.ph_icode_off_wall_ns with
-  | Some r ->
-    Buffer.add_string b (Printf.sprintf ", \"icode_off_wall_ns\": %d" r)
   | None -> ());
   Buffer.add_string b
     (Printf.sprintf ", \"minor_words\": %s, \"major_words\": %s"
@@ -379,24 +354,23 @@ let check_phase ~workload p =
   in
   let* _ = counter "commits" in
   let* _ = counter "aborts" in
-  (* [ref_wall_ns] (v7) and [icode_off_wall_ns] (v9) ride exactly on the
-     dual-engine TLS sim phases and nowhere else. *)
-  let dual_wall key =
-    match field p key with
+  (* [ref_wall_ns] (v7) rides exactly on the dual-engine TLS sim phases
+     and nowhere else. *)
+  let* _ =
+    match field p "ref_wall_ns" with
     | Some r ->
       if not dual then
         Error
-          (Printf.sprintf "%s: %s phase must not carry %s" workload name key)
+          (Printf.sprintf "%s: %s phase must not carry ref_wall_ns" workload
+             name)
       else
-        let* r = as_int (ctx key) r in
-        if r >= 0 then Ok () else Error (ctx key ^ " must be >= 0")
+        let* r = as_int (ctx "ref_wall_ns") r in
+        if r >= 0 then Ok () else Error (ctx "ref_wall_ns must be >= 0")
     | None ->
       if dual then
-        Error (Printf.sprintf "%s: %s phase lacks %s" workload name key)
+        Error (Printf.sprintf "%s: %s phase lacks ref_wall_ns" workload name)
       else Ok ()
   in
-  let* _ = dual_wall "ref_wall_ns" in
-  let* _ = dual_wall "icode_off_wall_ns" in
   match field p "cycles" with
   | Some c ->
     if exec then
@@ -560,7 +534,7 @@ let validate_json j =
   Buffer.add_string b (Printf.sprintf "schema_version %d\n" schema_version);
   Buffer.add_string b "units wall=ns alloc=words cycles=sim-cycles\n";
   Buffer.add_string b
-    (Printf.sprintf "dual-engine wall (event + ref oracle + icode off): %s\n"
+    (Printf.sprintf "dual-engine wall (event + ref oracle): %s\n"
        (String.concat " " dual_engine_phase_names));
   Buffer.add_string b
     (Printf.sprintf "real-exec wall + commit/abort counters: %s\n"
@@ -593,11 +567,7 @@ let validate_string s =
   | exception Json.Parse_error msg -> Error ("JSON parse error: " ^ msg)
 
 let validate_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  validate_string s
+  validate_string In_channel.(with_open_bin path input_all)
 
 (* ------------------------------------------------------------------ *)
 (* Baseline comparison — the perf-regression gate                      *)
@@ -619,10 +589,9 @@ let validate_file path =
      latencies are deliberately not gated. *)
 
 type baseline = {
-  (* (workload, phase) -> wall, ref_wall, icode_off_wall, cycles, commits *)
+  (* (workload, phase) -> wall, ref_wall, cycles, commits *)
   bl_phases :
-    ((string * string) * (int * int option * int option * int option * int option))
-    list;
+    ((string * string) * (int * int option * int option * int option)) list;
   bl_matrix : (int * int) option;  (* cells, jobs *)
   bl_serve : (string * int) list;  (* serve phase -> request count *)
 }
@@ -654,10 +623,9 @@ let baseline_of_json j =
                 Ok (Some v)
             in
             let* rw = opt "ref_wall_ns" in
-            let* iw = opt "icode_off_wall_ns" in
             let* cy = opt "cycles" in
             let* cm = opt "commits" in
-            Ok (((name, ph), (wall, rw, iw, cy, cm)) :: acc))
+            Ok (((name, ph), (wall, rw, cy, cm)) :: acc))
           (Ok acc) ps)
       (Ok []) workloads
   in
@@ -724,8 +692,8 @@ let compare_baselines ~tolerance (old_b : baseline) (new_b : baseline) =
   (* Tier 1: deterministic counters, exact. *)
   List.iter
     (fun ((w, p) as k) ->
-      let _, _, _, ocy, ocm = List.assoc k old_b.bl_phases in
-      let _, _, _, ncy, ncm = List.assoc k new_b.bl_phases in
+      let _, _, ocy, ocm = List.assoc k old_b.bl_phases in
+      let _, _, ncy, ncm = List.assoc k new_b.bl_phases in
       (match (ocy, ncy) with
       | Some a, Some b when a <> b ->
         problem "%s/%s: cycles %d -> %d (deterministic counter changed)" w p a
@@ -782,9 +750,8 @@ let compare_baselines ~tolerance (old_b : baseline) (new_b : baseline) =
   in
   List.iter
     (fun p ->
-      gate "wall" (fun (w, _, _, _, _) -> Some w) p;
-      gate "ref_wall" (fun (_, r, _, _, _) -> r) p;
-      gate "icode_off_wall" (fun (_, _, i, _, _) -> i) p)
+      gate "wall" (fun (w, _, _, _) -> Some w) p;
+      gate "ref_wall" (fun (_, r, _, _) -> r) p)
     (phase_names_in old_b);
   Buffer.add_string report
     (Printf.sprintf
@@ -796,13 +763,6 @@ let compare_baselines ~tolerance (old_b : baseline) (new_b : baseline) =
     Error
       (Buffer.contents report ^ "\n"
       ^ String.concat "\n" (List.rev ps))
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
 
 let compare_strings ~tolerance ?(old_name = "old baseline")
     ?(new_name = "new baseline") old_s new_s =
@@ -824,10 +784,6 @@ let compare_strings ~tolerance ?(old_name = "old baseline")
   let* old_b = load old_name old_s in
   let* new_b = load new_name new_s in
   compare_baselines ~tolerance old_b new_b
-
-let compare_files ~tolerance old_path new_path =
-  compare_strings ~tolerance ~old_name:old_path ~new_name:new_path
-    (read_file old_path) (read_file new_path)
 
 (* ------------------------------------------------------------------ *)
 (* Atomic file writes                                                  *)

@@ -1,11 +1,10 @@
 (** Machine-readable performance baseline: the wall time and allocation
     of each pipeline phase per workload, emitted as schema-versioned JSON
-    (committed as [BENCH_PR4.json]; [BENCH_PR3.json] is the schema-v3
-    trajectory record) so later PRs have a perf trajectory to regress
-    against.
+    (committed as [BENCH_PR12.json]; the older [BENCH_PR*.json] files are
+    the trajectory record) so later PRs have a perf trajectory to
+    regress against.
 
-    The compile-and-simulate phases mirror the Bechamel microbenchmarks
-    in [bench/main.ml]: frontend (lex+parse+check), lower (to IR),
+    The phases are the pipeline's layers: frontend (lex+parse+check), lower (to IR),
     profile (loop+dependence profiling), pass (full pipeline with memory
     sync), sim_seq (sequential timing run), sim_tls (TLS run, C mode)
     and sim_tls_bounded (TLS run, C mode under the finite-resource
@@ -17,18 +16,14 @@
     records actual parallel wall time next to both simulators'.
 
     Numbers are one-shot measurements (a trajectory record, not a
-    statistically analyzed benchmark — Bechamel part 1 covers that); the
+    statistically analyzed benchmark — [perfbench/] covers that); the
     JSON {e structure} is what the schema expect test pins. *)
 
 (** One timed phase.  [ph_cycles] is the deterministic simulated cycle
     count, present only for the sim phases.  [ph_ref_wall_ns] (schema v7)
     is the cycle-stepped oracle engine's wall time on the same run,
     present only for the TLS sim phases ({!dual_engine_phase_names});
-    [ph_wall_ns] on those phases is the event engine.
-    [ph_icode_off_wall_ns] (schema v9) rides on the same phases: the
-    event engine with the flat icode encoding disabled (the boxed
-    variant dispatcher), so the baseline separates what the encoding
-    buys from what event-driven scheduling buys.  [ph_commits] and
+    [ph_wall_ns] on those phases is the event engine.  [ph_commits] and
     [ph_aborts] (schema v8) are the speculative runtime's epoch counters,
     present exactly on the [exec_tls] phase (and forbidden elsewhere —
     as [ph_cycles] is forbidden on [exec_tls]). *)
@@ -36,7 +31,6 @@ type phase = {
   ph_name : string;
   ph_wall_ns : int;
   ph_ref_wall_ns : int option;
-  ph_icode_off_wall_ns : int option;
   ph_minor_words : float;
   ph_major_words : float;
   ph_cycles : int option;
@@ -127,8 +121,7 @@ val validate_file : string -> (string, string) result
     [mrvcc benchdiff] CLI and the CI perf gate).  Deterministic counters
     — per-phase simulated cycle counts, real-runtime commit counts, the
     matrix cell/job counts, the serve request mix — must be exactly
-    equal; wall times ([wall_ns], [ref_wall_ns], [icode_off_wall_ns])
-    are gated per phase name on the geometric mean across workloads,
+    equal; wall times ([wall_ns], [ref_wall_ns]) are gated per phase name on the geometric mean across workloads,
     which must not grow by more than [tolerance] (relative, e.g. [0.5]
     = +50%).  Scheduling-dependent counters (exec_tls aborts) and serve
     latencies are not gated.  [Ok report] is the comparison table;
@@ -140,9 +133,6 @@ val compare_strings :
   string ->
   string ->
   (string, string) result
-
-(** {!compare_strings} over two files (old baseline first). *)
-val compare_files : tolerance:float -> string -> string -> (string, string) result
 
 (** [write_file_atomic path contents] writes via a temp file in [path]'s
     directory followed by [Unix.rename], so an interrupted writer can

@@ -59,7 +59,6 @@ type t = {
   fwd_queue_depth : int;
   overflow_policy : overflow_policy;
   engine : engine;
-  icode : bool;
 }
 
 let default =
@@ -104,7 +103,6 @@ let default =
     fwd_queue_depth = max_int;
     overflow_policy = Overflow_stall;
     engine = Engine_event;
-    icode = true;
   }
 
 let u_mode = { default with stall_compiler_sync = false }

@@ -140,12 +140,6 @@ type t = {
          than hanging, with the watchdog as backstop. *)
   overflow_policy : overflow_policy;
   engine : engine;
-  icode : bool;
-      (* dispatch the event engine over the flat pre-resolved {!Icode}
-         encoding (DESIGN §17) instead of the boxed [Ir.Instr] variants.
-         Observables are byte-identical either way; [--icode off] is the
-         escape hatch and the differential-test axis.  [Engine_ref]
-         ignores it — the oracle always interprets the IR directly. *)
 }
 
 (** The machine of Table 1 with compiler synchronization honored and all

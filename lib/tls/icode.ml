@@ -16,8 +16,6 @@ type prog = {
   ret_opts : I.reg option array;
 }
 
-let empty = { funcs = [||]; names = [||]; ret_opts = [||] }
-
 let opcode_mask = 0xff
 let flag_a = 0x100
 let flag_b = 0x200

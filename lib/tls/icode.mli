@@ -75,9 +75,6 @@ type prog = {
   ret_opts : Ir.Instr.reg option array;   (* interned call destinations *)
 }
 
-(** A valid [prog] with no functions; the disabled-icode placeholder. *)
-val empty : prog
-
 val opcode_mask : int  (* 0xff *)
 val flag_a : int       (* 0x100: first operand slot is an immediate *)
 val flag_b : int       (* 0x200: second operand slot is an immediate *)

@@ -10,8 +10,9 @@
    - preallocated {!Scratch} int->int maps for the per-attempt
      speculative state (write buffer, exposed-read set, footprint lines,
      oracle occurrence counters) with O(1) generation-based reset,
-   - a direct instruction dispatcher replacing the Thread.step + hook
-     closures (no outcome/event allocation per graduated instruction),
+   - a direct instruction dispatcher over the flat {!Icode} encoding
+     replacing the Thread.step + hook closures (no outcome/event
+     allocation per graduated instruction),
    - parked pollers: a blocked wait re-polls only when its wake time
      arrives or a producer-side event dirties the park, instead of
      re-executing the wait every cycle (the per-cycle charge an epoch
@@ -155,7 +156,6 @@ type sim = {
   parking_enabled : bool;
   (* Flat icode dispatch (DESIGN §17).  The side tables are hoisted out
      of the [Icode.prog] record so the hot fetch is one load each. *)
-  use_icode : bool;
   ic_funcs : Icode.func array;          (* indexed by [cf_id] *)
   ic_names : string array;
   ic_ret_opts : Ir.Instr.reg option array;
@@ -180,14 +180,12 @@ let drain_thread_output sim (t : Runtime.Thread.t) =
 
 let epoch_proc sim e = e.ep_index mod sim.cfg.Config.num_procs
 
-(* Flat offset of block [target] in [cfunc]'s icode — the frame fix-up
-   applied wherever the legacy convention "[pc <- 0] at block entry"
-   appears (region entry, TLS-exit handoff). *)
+(* Flat offset of block [target] in [cfunc]'s icode: where a frame's
+   [pc] starts when it enters a block other than by a call (region
+   entry, TLS-exit handoff). *)
 let block_entry sim (cfunc : Runtime.Code.cfunc) target =
-  if sim.use_icode then
-    (Array.unsafe_get sim.ic_funcs
-       cfunc.Runtime.Code.cf_id).Icode.block_off.(target)
-  else 0
+  let fn = Array.unsafe_get sim.ic_funcs cfunc.Runtime.Code.cf_id in
+  fn.Icode.block_off.(target)
 
 let[@inline] is_oldest st e = e.ep_index = st.ts_oldest
 
@@ -774,21 +772,6 @@ let note_channel_outcome sim ch ~matched =
    allocation): 0 = ran, 1 = blocked, 2 = suspended, 3 = finished
    (return value in [sim.step_rv]). *)
 
-let operand_value (regs : int array) = function
-  | Ir.Instr.Reg r -> regs.(r)
-  | Ir.Instr.Imm n -> n
-
-(* Bind call arguments to the callee's parameter registers pairwise;
-   extra arguments are dropped, unbound parameters stay 0.  Top-level
-   list recursion: the List.iteri/nth_opt formulation allocated a
-   closure plus an option per argument on every executed call. *)
-let rec bind_args regs callee_regs params args =
-  match params, args with
-  | preg :: ps, arg :: rest ->
-    callee_regs.(preg) <- operand_value regs arg;
-    bind_args regs callee_regs ps rest
-  | _, _ -> ()
-
 (* Park a blocked wait.  The eager per-cycle charge in [step_epochs]
    reproduces exactly what a failed re-poll would account. *)
 let park sim e kind =
@@ -797,329 +780,37 @@ let park sim e kind =
     e.park_dirty <- false
   end
 
-(* One instruction (or terminator) of epoch [e], with the reference
-   engine's hook semantics inlined.  This is the boxed-IR dispatcher
-   ([--icode off]); [epoch_step_ic] below is the flat-encoding mirror. *)
-let epoch_step_ir sim st e =
-  let t = e.ep_thread in
-  match t.Runtime.Thread.frames with
-  | [] -> failwith "Thread: step on finished thread"
-  | f :: frames_rest ->
-    let cfunc = f.Runtime.Thread.cfunc in
-    let blk = cfunc.Runtime.Code.cf_blocks.(f.Runtime.Thread.block) in
-    let regs = f.Runtime.Thread.regs in
-    let my_channel ch = Int_set.mem ch st.ts_channels in
-    if f.Runtime.Thread.pc < Array.length blk.Runtime.Code.instrs then begin
-      let i = blk.Runtime.Code.instrs.(f.Runtime.Thread.pc) in
-      let finish () =
-        f.Runtime.Thread.pc <- f.Runtime.Thread.pc + 1;
-        t.Runtime.Thread.icount <- t.Runtime.Thread.icount + 1;
-        0
-      in
-      match i.Ir.Instr.kind with
-      | Ir.Instr.Bin (op, d, a, b) ->
-        regs.(d) <-
-          Ir.Instr.eval_binop op (operand_value regs a) (operand_value regs b);
-        (match op with
-        | Ir.Instr.Mul -> sim.extra_latency <- sim.cfg.Config.lat_mul - 1
-        | Ir.Instr.Div | Ir.Instr.Rem ->
-          sim.extra_latency <- sim.cfg.Config.lat_div - 1
-        | _ -> ());
-        finish ()
-      | Ir.Instr.Mov (d, a) ->
-        regs.(d) <- operand_value regs a;
-        finish ()
-      | Ir.Instr.Load (d, a) ->
-        regs.(d) <- epoch_load sim st e i.Ir.Instr.iid (operand_value regs a);
-        finish ()
-      | Ir.Instr.Store (a, value) ->
-        epoch_store sim st e (operand_value regs a) (operand_value regs value);
-        finish ()
-      | Ir.Instr.Call (dst, name, args) -> begin
-        match Hashtbl.find_opt t.Runtime.Thread.code.Runtime.Code.funcs name with
-        | None -> failwith ("Thread: call to unknown function " ^ name)
-        | Some callee ->
-          let callee_regs = Array.make callee.Runtime.Code.cf_nregs 0 in
-          bind_args regs callee_regs callee.Runtime.Code.cf_params args;
-          f.Runtime.Thread.pc <- f.Runtime.Thread.pc + 1;
-          t.Runtime.Thread.icount <- t.Runtime.Thread.icount + 1;
-          let callee_frame =
-            {
-              Runtime.Thread.cfunc = callee;
-              regs = callee_regs;
-              block = 0;
-              pc = 0;
-              ret_to = dst;
-              call_iid = i.Ir.Instr.iid;
-            }
-          in
-          t.Runtime.Thread.frames <- callee_frame :: t.Runtime.Thread.frames;
-          0
-      end
-      | Ir.Instr.Print a ->
-        t.Runtime.Thread.output <-
-          operand_value regs a :: t.Runtime.Thread.output;
-        finish ()
-      | Ir.Instr.Input (d, a) ->
-        let idx = operand_value regs a in
-        let input = t.Runtime.Thread.input in
-        regs.(d) <-
-          (if idx >= 0 && idx < Array.length input then input.(idx) else 0);
-        finish ()
-      | Ir.Instr.Input_len d ->
-        regs.(d) <- Array.length t.Runtime.Thread.input;
-        finish ()
-      | Ir.Instr.Wait_scalar (ch, d) ->
-        if not (my_channel ch) then
-          (* A nested region's synchronization, executed sequentially:
-             the "forwarded" value is the current one (identity). *)
-          finish ()
-        else begin
-          match receive sim st e ch with
-          | 0 ->
-            regs.(d) <- sim.rcv_v;
-            finish ()
-          | 1 ->
-            e.blocked <- true;
-            e.wake_at <- sim.rcv_avail;
-            e.last_block <- ch;
-            park sim e 2;
-            1
-          | _ ->
-            e.blocked <- true;
-            e.wake_at <- max_int;
-            e.last_block <- ch;
-            park sim e 2;
-            1
-        end
-      | Ir.Instr.Signal_scalar (ch, a) ->
-        if my_channel ch then begin
-          Hashtbl.replace e.sent ch
-            {
-              se_payload = P_scalar (operand_value regs a);
-              se_avail = sim.cycle + sim.cfg.Config.forward_latency;
-            };
-          dirty_succ st e;
-          note_fwd_peak sim st e
-        end;
-        finish ()
-      | Ir.Instr.Wait_mem ch ->
-        if not (my_channel ch) then finish ()
-        else if not sim.cfg.Config.stall_compiler_sync then finish ()
-        else if
-          (* Only fault injection populates [dropped_wakeups]; the guard
-             keeps the common path from allocating the key pair. *)
-          Hashtbl.length sim.dropped_wakeups > 0
-          && Hashtbl.mem sim.dropped_wakeups (e.ep_index, ch)
-        then begin
-          e.blocked <- true;
-          e.wake_at <- max_int;
-          e.last_block <- ch;
-          1
-        end
-        else if channel_filtered sim ch then finish ()
-        else begin
-          match sim.cfg.Config.forward_timing with
-          | Config.Forward_perfect -> finish ()
-          | Config.Forward_at_commit ->
-            if is_oldest st e then finish ()
-            else begin
-              e.blocked <- true;
-              e.wake_at <- max_int;
-              e.last_block <- ch;
-              park sim e 3;
-              1
-            end
-          | Config.Forward_normal -> begin
-            match receive sim st e ch with
-            | 0 -> finish ()
-            | 1 ->
-              e.blocked <- true;
-              e.wake_at <- sim.rcv_avail;
-              e.last_block <- ch;
-              note_blocked_wait sim e ch;
-              park sim e 1;
-              1
-            | _ ->
-              e.blocked <- true;
-              e.wake_at <- max_int;
-              e.last_block <- ch;
-              note_blocked_wait sim e ch;
-              park sim e 1;
-              1
-          end
-        end
-      | Ir.Instr.Sync_load (ch, d, a) ->
-        let iid = i.Ir.Instr.iid in
-        let addr = operand_value regs a in
-        let value =
-          if not (my_channel ch) then speculative_load sim st e iid addr
-          else if not sim.cfg.Config.stall_compiler_sync then
-            speculative_load sim st e iid addr
-          else begin
-            match sim.cfg.Config.forward_timing with
-            | Config.Forward_perfect -> begin
-              match oracle_value sim st e iid with
-              | Some v ->
-                sim.extra_latency <- 0;
-                v
-              | None -> speculative_load sim st e iid addr
-            end
-            | Config.Forward_at_commit -> speculative_load sim st e iid addr
-            | Config.Forward_normal -> begin
-              if channel_filtered sim ch then speculative_load sim st e iid addr
-              else
-                match Hashtbl.find e.consumed ch with
-                | P_mem (fa, v) when fa <> 0 && fa = addr ->
-                  note_channel_outcome sim ch ~matched:true;
-                  let s = Scratch.probe e.spec_writes addr in
-                  if s >= 0 then begin
-                    sim.extra_latency <- 0;
-                    Scratch.value_at e.spec_writes s
-                  end
-                  else begin
-                    sim.extra_latency <- 0;
-                    v
-                  end
-                | _ ->
-                  note_channel_outcome sim ch ~matched:false;
-                  speculative_load sim st e iid addr
-                | exception Not_found ->
-                  if
-                    sim.cfg.Config.protocol_checks
-                    && not sim.cfg.Config.filter_useless_sync
-                  then
-                    raise
-                      (Stuck
-                         (stuck_diag_of sim st
-                            (Missing_wait { channel = ch; iid })))
-                  else begin
-                    note_channel_outcome sim ch ~matched:false;
-                    speculative_load sim st e iid addr
-                  end
-            end
-          end
-        in
-        regs.(d) <- value;
-        finish ()
-      | Ir.Instr.Signal_mem (ch, a) ->
-        if my_channel ch then
-          epoch_signal_mem sim st e ch (operand_value regs a);
-        finish ()
-      | Ir.Instr.Signal_mem_if_unsent (ch, a) ->
-        if
-          my_channel ch
-          && sim.cfg.Config.stall_compiler_sync
-          && not (Hashtbl.mem e.sent ch)
-        then epoch_signal_mem sim st e ch (operand_value regs a);
-        finish ()
-      | Ir.Instr.Signal_null ch ->
-        if my_channel ch && sim.cfg.Config.stall_compiler_sync then begin
-          Hashtbl.replace e.sent ch
-            {
-              se_payload = P_mem (0, 0);
-              se_avail = sim.cycle + sim.cfg.Config.forward_latency;
-            };
-          dirty_succ st e;
-          note_fwd_peak sim st e
-        end;
-        finish ()
-      | Ir.Instr.Signal_null_if_unsent ch ->
-        if
-          my_channel ch
-          && sim.cfg.Config.stall_compiler_sync
-          && not (Hashtbl.mem e.sent ch)
-        then begin
-          Hashtbl.replace e.sent ch
-            {
-              se_payload = P_mem (0, 0);
-              se_avail = sim.cycle + sim.cfg.Config.forward_latency;
-            };
-          dirty_succ st e;
-          note_fwd_peak sim st e
-        end;
-        finish ()
-    end
-    else begin
-      (* Terminator. *)
-      let goto target =
-        let proceed =
-          (match frames_rest with _ :: _ -> true | [] -> false)
-          ||
-          if target = st.ts_region.Ir.Region.header then begin
-            e.exitk <- Some Exit_back;
-            false
-          end
-          else if not (Int_set.mem target st.ts_blocks) then begin
-            e.exitk <- Some (Exit_out target);
-            false
-          end
-          else true
-        in
-        if proceed then begin
-          f.Runtime.Thread.block <- target;
-          f.Runtime.Thread.pc <- 0;
-          t.Runtime.Thread.icount <- t.Runtime.Thread.icount + 1;
-          0
-        end
-        else 2
-      in
-      match blk.Runtime.Code.term with
-      | Ir.Instr.Jmp l -> goto l
-      | Ir.Instr.Br (c, a, b) ->
-        goto (if operand_value regs c <> 0 then a else b)
-      | Ir.Instr.Ret value ->
-        (* The return value stays unboxed on the common nested-call
-           path; only the final thread exit builds the option. *)
-        t.Runtime.Thread.icount <- t.Runtime.Thread.icount + 1;
-        (match t.Runtime.Thread.frames with
-        | [ _ ] ->
-          t.Runtime.Thread.frames <- [];
-          sim.step_rv <-
-            (match value with
-            | Some v -> Some (operand_value regs v)
-            | None -> None);
-          3
-        | _ :: (caller :: _ as rest) ->
-          (match f.Runtime.Thread.ret_to with
-          | Some dst ->
-            caller.Runtime.Thread.regs.(dst) <-
-              (match value with Some v -> operand_value regs v | None -> 0)
-          | None -> ());
-          t.Runtime.Thread.frames <- rest;
-          0
-        | [] -> failwith "Thread: step on finished thread")
-    end
-
-(* Pairwise argument binding over the inline (mode, value) slots of a
-   flat call site; same drop-extras / leave-unbound-zero semantics as
-   [bind_args]. *)
-let rec bind_args_ic code regs callee_regs params base n k =
+(* Bind call arguments to the callee's parameter registers pairwise,
+   reading the inline (mode, value) slots of a flat call site: extra
+   arguments are dropped, unbound parameters stay 0 (Runtime.Thread's
+   call semantics).  Top-level recursion, so an executed call allocates
+   nothing. *)
+let rec bind_args code regs callee_regs params base n k =
   if k < n then
     match params with
     | preg :: ps ->
       let m = Array.unsafe_get code (base + (2 * k)) in
       let v = Array.unsafe_get code (base + (2 * k) + 1) in
       callee_regs.(preg) <- (if m <> 0 then v else Array.unsafe_get regs v);
-      bind_args_ic code regs callee_regs ps base n (k + 1)
+      bind_args code regs callee_regs ps base n (k + 1)
     | [] -> ()
 
-let[@inline] finish_ic (t : Runtime.Thread.t) (f : Runtime.Thread.frame) pc width
-    =
+let[@inline] finish (t : Runtime.Thread.t) (f : Runtime.Thread.frame) pc width =
   f.Runtime.Thread.pc <- pc + width;
   t.Runtime.Thread.icount <- t.Runtime.Thread.icount + 1;
   0
 
-(* [epoch_step_ir] over the flat icode encoding: under [use_icode] a
+(* One instruction (or terminator) of epoch [e] over the flat icode
+   encoding, with the reference engine's hook semantics inlined.  A
    frame's [pc] is a flat offset into the function-wide [Icode.code]
-   array (blocks in label order, block 0 at offset 0, so the spawn-time
-   [pc = 0] convention is unchanged) and [block] is maintained but never
-   used for dispatch.  Every memory-system, scratch-table, and hashtable
-   operation happens in exactly the order of the boxed dispatcher — the
-   differential suite pins byte equality between the two.  The unchecked
-   array reads are licensed by {!Icode.verify}, which ran at
+   array (blocks in label order, block 0 at offset 0, so the call-time
+   [pc = 0] convention holds) and [block] is maintained but never used
+   for dispatch.  Every memory-system, scratch-table, and hashtable
+   operation happens in exactly the order {!Sim_ref}'s hooks perform it
+   — the differential suite pins byte equality of the results.  The
+   unchecked array reads are licensed by {!Icode.verify}, which ran at
    construction. *)
-let epoch_step_ic sim st e =
+let epoch_step sim st e =
   let t = e.ep_thread in
   match t.Runtime.Thread.frames with
   | [] -> failwith "Thread: step on finished thread"
@@ -1145,7 +836,7 @@ let epoch_step_ic sim st e =
       if op = 2 then sim.extra_latency <- sim.cfg.Config.lat_mul - 1
       else if op = 3 || op = 4 then
         sim.extra_latency <- sim.cfg.Config.lat_div - 1;
-      finish_ic t f pc 5
+      finish t f pc 5
     end
     else
       match op with
@@ -1154,21 +845,21 @@ let epoch_step_ic sim st e =
         Array.unsafe_set regs
           (Array.unsafe_get code (pc + 2))
           (if w land 0x100 <> 0 then a else Array.unsafe_get regs a);
-        finish_ic t f pc 4
+        finish t f pc 4
       | 17 (* Load *) ->
         let a = Array.unsafe_get code (pc + 3) in
         let addr = if w land 0x100 <> 0 then a else Array.unsafe_get regs a in
         Array.unsafe_set regs
           (Array.unsafe_get code (pc + 2))
           (epoch_load sim st e (Array.unsafe_get code (pc + 1)) addr);
-        finish_ic t f pc 4
+        finish t f pc 4
       | 18 (* Store *) ->
         let a = Array.unsafe_get code (pc + 2) in
         let addr = if w land 0x100 <> 0 then a else Array.unsafe_get regs a in
         let v = Array.unsafe_get code (pc + 3) in
         let value = if w land 0x200 <> 0 then v else Array.unsafe_get regs v in
         epoch_store sim st e addr value;
-        finish_ic t f pc 4
+        finish t f pc 4
       | 19 (* Call *) ->
         let fidx = Array.unsafe_get code (pc + 2) in
         if fidx < 0 then
@@ -1178,7 +869,7 @@ let epoch_step_ic sim st e =
           let callee = (Array.unsafe_get sim.ic_funcs fidx).Icode.fn_cfunc in
           let callee_regs = Array.make callee.Runtime.Code.cf_nregs 0 in
           let nargs = Array.unsafe_get code (pc + 4) in
-          bind_args_ic code regs callee_regs callee.Runtime.Code.cf_params
+          bind_args code regs callee_regs callee.Runtime.Code.cf_params
             (pc + 5) nargs 0;
           f.Runtime.Thread.pc <- pc + 5 + (2 * nargs);
           t.Runtime.Thread.icount <- t.Runtime.Thread.icount + 1;
@@ -1200,7 +891,7 @@ let epoch_step_ic sim st e =
         t.Runtime.Thread.output <-
           (if w land 0x100 <> 0 then a else Array.unsafe_get regs a)
           :: t.Runtime.Thread.output;
-        finish_ic t f pc 3
+        finish t f pc 3
       | 21 (* Input *) ->
         let a = Array.unsafe_get code (pc + 3) in
         let idx = if w land 0x100 <> 0 then a else Array.unsafe_get regs a in
@@ -1208,23 +899,23 @@ let epoch_step_ic sim st e =
         Array.unsafe_set regs
           (Array.unsafe_get code (pc + 2))
           (if idx >= 0 && idx < Array.length input then input.(idx) else 0);
-        finish_ic t f pc 4
+        finish t f pc 4
       | 22 (* Input_len *) ->
         Array.unsafe_set regs
           (Array.unsafe_get code (pc + 2))
           (Array.length t.Runtime.Thread.input);
-        finish_ic t f pc 3
+        finish t f pc 3
       | 23 (* Wait_scalar *) ->
         let ch = Array.unsafe_get code (pc + 2) in
         if not (Int_set.mem ch st.ts_channels) then
           (* A nested region's synchronization, executed sequentially:
              the "forwarded" value is the current one (identity). *)
-          finish_ic t f pc 4
+          finish t f pc 4
         else begin
           match receive sim st e ch with
           | 0 ->
             Array.unsafe_set regs (Array.unsafe_get code (pc + 3)) sim.rcv_v;
-            finish_ic t f pc 4
+            finish t f pc 4
           | 1 ->
             e.blocked <- true;
             e.wake_at <- sim.rcv_avail;
@@ -1252,11 +943,11 @@ let epoch_step_ic sim st e =
           dirty_succ st e;
           note_fwd_peak sim st e
         end;
-        finish_ic t f pc 4
+        finish t f pc 4
       | 25 (* Wait_mem *) ->
         let ch = Array.unsafe_get code (pc + 2) in
-        if not (Int_set.mem ch st.ts_channels) then finish_ic t f pc 3
-        else if not sim.cfg.Config.stall_compiler_sync then finish_ic t f pc 3
+        if not (Int_set.mem ch st.ts_channels) then finish t f pc 3
+        else if not sim.cfg.Config.stall_compiler_sync then finish t f pc 3
         else if
           Hashtbl.length sim.dropped_wakeups > 0
           && Hashtbl.mem sim.dropped_wakeups (e.ep_index, ch)
@@ -1266,12 +957,12 @@ let epoch_step_ic sim st e =
           e.last_block <- ch;
           1
         end
-        else if channel_filtered sim ch then finish_ic t f pc 3
+        else if channel_filtered sim ch then finish t f pc 3
         else begin
           match sim.cfg.Config.forward_timing with
-          | Config.Forward_perfect -> finish_ic t f pc 3
+          | Config.Forward_perfect -> finish t f pc 3
           | Config.Forward_at_commit ->
-            if is_oldest st e then finish_ic t f pc 3
+            if is_oldest st e then finish t f pc 3
             else begin
               e.blocked <- true;
               e.wake_at <- max_int;
@@ -1281,7 +972,7 @@ let epoch_step_ic sim st e =
             end
           | Config.Forward_normal -> begin
             match receive sim st e ch with
-            | 0 -> finish_ic t f pc 3
+            | 0 -> finish t f pc 3
             | 1 ->
               e.blocked <- true;
               e.wake_at <- sim.rcv_avail;
@@ -1353,7 +1044,7 @@ let epoch_step_ic sim st e =
           end
         in
         Array.unsafe_set regs (Array.unsafe_get code (pc + 3)) value;
-        finish_ic t f pc 5
+        finish t f pc 5
       | 27 (* Signal_mem *) ->
         let ch = Array.unsafe_get code (pc + 2) in
         if Int_set.mem ch st.ts_channels then begin
@@ -1361,7 +1052,7 @@ let epoch_step_ic sim st e =
           epoch_signal_mem sim st e ch
             (if w land 0x100 <> 0 then a else Array.unsafe_get regs a)
         end;
-        finish_ic t f pc 4
+        finish t f pc 4
       | 28 (* Signal_mem_if_unsent *) ->
         let ch = Array.unsafe_get code (pc + 2) in
         if
@@ -1373,7 +1064,7 @@ let epoch_step_ic sim st e =
           epoch_signal_mem sim st e ch
             (if w land 0x100 <> 0 then a else Array.unsafe_get regs a)
         end;
-        finish_ic t f pc 4
+        finish t f pc 4
       | 29 (* Signal_null *) ->
         let ch = Array.unsafe_get code (pc + 2) in
         if Int_set.mem ch st.ts_channels && sim.cfg.Config.stall_compiler_sync
@@ -1386,7 +1077,7 @@ let epoch_step_ic sim st e =
           dirty_succ st e;
           note_fwd_peak sim st e
         end;
-        finish_ic t f pc 3
+        finish t f pc 3
       | 30 (* Signal_null_if_unsent *) ->
         let ch = Array.unsafe_get code (pc + 2) in
         if
@@ -1402,7 +1093,7 @@ let epoch_step_ic sim st e =
           dirty_succ st e;
           note_fwd_peak sim st e
         end;
-        finish_ic t f pc 3
+        finish t f pc 3
       | _ ->
         (* Terminator. *)
         let goto target off =
@@ -1468,72 +1159,19 @@ let epoch_step_ic sim st e =
           | [] -> failwith "Thread: step on finished thread"
         end
 
-let epoch_step sim st e =
-  if sim.use_icode then epoch_step_ic sim st e else epoch_step_ir sim st e
-
 (* ------------------------------------------------------------------ *)
 (* Graduation                                                          *)
 (* ------------------------------------------------------------------ *)
-
-(* The next instruction of [e], inlined (no option allocation):
-   sets [nx] fields below.  Returns the instr or raises nothing —
-   callers use dedicated predicates instead. *)
 
 (* One decode of [e]'s next instruction, classifying what graduation
    must check before issuing it: -2 = hardware sync stall, ch >= 0 = a
    fresh signal that needs a forwarding-queue slot on [ch], -1 =
    neither.  The two cases are disjoint by instruction kind (loads
    vs. signals), so a single peek replaces the two separate decodes
-   graduation used to run per issued instruction. *)
-let peek_next_ir sim st e =
-  let hw =
-    sim.cfg.Config.hw_sync_stall
-    && (not (is_oldest st e))
-    && not (Hwsync.is_empty sim.hwsync)
-  in
-  let fq = sim.cfg.Config.fwd_queue_depth <> max_int in
-  if (not hw) && not fq then -1
-  else
-    match e.ep_thread.Runtime.Thread.frames with
-    | [] -> -1
-    | f :: _ ->
-      let blk =
-        f.Runtime.Thread.cfunc.Runtime.Code.cf_blocks.(f.Runtime.Thread.block)
-      in
-      if f.Runtime.Thread.pc >= Array.length blk.Runtime.Code.instrs then -1
-      else begin
-        let i = blk.Runtime.Code.instrs.(f.Runtime.Thread.pc) in
-        let mem_sync = sim.cfg.Config.stall_compiler_sync in
-        let candidate =
-          match i.Ir.Instr.kind with
-          | Ir.Instr.Load _ | Ir.Instr.Sync_load _ ->
-            if
-              hw
-              && Hwsync.marked sim.hwsync i.Ir.Instr.iid
-              && not
-                   (sim.cfg.Config.hw_skip_compiler_synced
-                   && Int_set.mem i.Ir.Instr.iid st.ts_comp_loads)
-            then -2
-            else -1
-          | Ir.Instr.Signal_scalar (ch, _) when fq -> ch
-          | Ir.Instr.Signal_mem (ch, _) when fq && mem_sync -> ch
-          | Ir.Instr.Signal_mem_if_unsent (ch, _) when fq && mem_sync -> ch
-          | Ir.Instr.Signal_null ch when fq && mem_sync -> ch
-          | Ir.Instr.Signal_null_if_unsent ch when fq && mem_sync -> ch
-          | _ -> -1
-        in
-        if candidate >= 0 then
-          if
-            Int_set.mem candidate st.ts_channels
-            && not (Hashtbl.mem e.sent candidate)
-          then candidate
-          else -1
-        else candidate
-      end
-
-(* [peek_next_ir] over the flat encoding: one opcode fetch classifies
-   the upcoming instruction; terminators (op >= 31) never stall. *)
-let peek_next_ic sim st e =
+   graduation used to run per issued instruction.  One opcode fetch
+   classifies the upcoming instruction; terminators (op >= 31) never
+   stall. *)
+let peek_next sim st e =
   let hw =
     sim.cfg.Config.hw_sync_stall
     && (not (is_oldest st e))
@@ -1580,9 +1218,6 @@ let peek_next_ic sim st e =
         then candidate
         else -1
       else candidate
-
-let peek_next sim st e =
-  if sim.use_icode then peek_next_ic sim st e else peek_next_ir sim st e
 
 (* Issue-slot loop as top-level recursion over the remaining slot
    count: this runs per epoch per cycle, so it must not allocate (a
@@ -2007,147 +1642,12 @@ let seq_regions_of sim (f : Runtime.Thread.frame) =
     sim.cur_regions <- arr;
     arr
 
-(* One sequential instruction with the reference seq-hook semantics:
-   loads/stores time through the memory system against committed state,
-   sync instructions are transparent, and a goto onto a region header
-   suspends into TLS mode. *)
-let seq_step_ir sim =
-  let t = sim.seq_thread in
-  match t.Runtime.Thread.frames with
-  | [] -> failwith "Thread: step on finished thread"
-  | f :: _ ->
-    let cfunc = f.Runtime.Thread.cfunc in
-    let blk = cfunc.Runtime.Code.cf_blocks.(f.Runtime.Thread.block) in
-    let regs = f.Runtime.Thread.regs in
-    if f.Runtime.Thread.pc < Array.length blk.Runtime.Code.instrs then begin
-      let i = blk.Runtime.Code.instrs.(f.Runtime.Thread.pc) in
-      let finish () =
-        f.Runtime.Thread.pc <- f.Runtime.Thread.pc + 1;
-        t.Runtime.Thread.icount <- t.Runtime.Thread.icount + 1;
-        0
-      in
-      match i.Ir.Instr.kind with
-      | Ir.Instr.Bin (op, d, a, b) ->
-        regs.(d) <-
-          Ir.Instr.eval_binop op (operand_value regs a) (operand_value regs b);
-        (match op with
-        | Ir.Instr.Mul -> sim.extra_latency <- sim.cfg.Config.lat_mul - 1
-        | Ir.Instr.Div | Ir.Instr.Rem ->
-          sim.extra_latency <- sim.cfg.Config.lat_div - 1
-        | _ -> ());
-        finish ()
-      | Ir.Instr.Mov (d, a) ->
-        regs.(d) <- operand_value regs a;
-        finish ()
-      | Ir.Instr.Load (d, a) ->
-        let addr = operand_value regs a in
-        sim.extra_latency <- Memsys.access sim.memsys ~proc:0 ~addr - 1;
-        regs.(d) <- Runtime.Memory.get sim.committed addr;
-        finish ()
-      | Ir.Instr.Store (a, value) ->
-        let addr = operand_value regs a in
-        sim.extra_latency <- Memsys.access sim.memsys ~proc:0 ~addr - 1;
-        Runtime.Memory.store sim.committed addr (operand_value regs value);
-        finish ()
-      | Ir.Instr.Call (dst, name, args) -> begin
-        match Hashtbl.find_opt t.Runtime.Thread.code.Runtime.Code.funcs name with
-        | None -> failwith ("Thread: call to unknown function " ^ name)
-        | Some callee ->
-          let callee_regs = Array.make callee.Runtime.Code.cf_nregs 0 in
-          bind_args regs callee_regs callee.Runtime.Code.cf_params args;
-          f.Runtime.Thread.pc <- f.Runtime.Thread.pc + 1;
-          t.Runtime.Thread.icount <- t.Runtime.Thread.icount + 1;
-          let callee_frame =
-            {
-              Runtime.Thread.cfunc = callee;
-              regs = callee_regs;
-              block = 0;
-              pc = 0;
-              ret_to = dst;
-              call_iid = i.Ir.Instr.iid;
-            }
-          in
-          t.Runtime.Thread.frames <- callee_frame :: t.Runtime.Thread.frames;
-          0
-      end
-      | Ir.Instr.Print a ->
-        t.Runtime.Thread.output <-
-          operand_value regs a :: t.Runtime.Thread.output;
-        finish ()
-      | Ir.Instr.Input (d, a) ->
-        let idx = operand_value regs a in
-        let input = t.Runtime.Thread.input in
-        regs.(d) <-
-          (if idx >= 0 && idx < Array.length input then input.(idx) else 0);
-        finish ()
-      | Ir.Instr.Input_len d ->
-        regs.(d) <- Array.length t.Runtime.Thread.input;
-        finish ()
-      | Ir.Instr.Wait_scalar (_, _) ->
-        (* Sequentially the identity. *)
-        finish ()
-      | Ir.Instr.Signal_scalar (_, _) -> finish ()
-      | Ir.Instr.Wait_mem _ -> finish ()
-      | Ir.Instr.Sync_load (_, d, a) ->
-        regs.(d) <- Runtime.Memory.get sim.committed (operand_value regs a);
-        finish ()
-      | Ir.Instr.Signal_mem (_, _)
-      | Ir.Instr.Signal_mem_if_unsent (_, _)
-      | Ir.Instr.Signal_null _
-      | Ir.Instr.Signal_null_if_unsent _ ->
-        finish ()
-    end
-    else begin
-      let goto target =
-        let proceed =
-          let arr = seq_regions_of sim f in
-          if target < Array.length arr then begin
-            match arr.(target) with
-            | Some r ->
-              sim.pending_region <- Some r;
-              false
-            | None -> true
-          end
-          else true
-        in
-        if proceed then begin
-          f.Runtime.Thread.block <- target;
-          f.Runtime.Thread.pc <- 0;
-          t.Runtime.Thread.icount <- t.Runtime.Thread.icount + 1;
-          0
-        end
-        else 2
-      in
-      match blk.Runtime.Code.term with
-      | Ir.Instr.Jmp l -> goto l
-      | Ir.Instr.Br (c, a, b) ->
-        goto (if operand_value regs c <> 0 then a else b)
-      | Ir.Instr.Ret value ->
-        (* The return value stays unboxed on the common nested-call
-           path; only the final thread exit builds the option. *)
-        t.Runtime.Thread.icount <- t.Runtime.Thread.icount + 1;
-        (match t.Runtime.Thread.frames with
-        | [ _ ] ->
-          t.Runtime.Thread.frames <- [];
-          sim.step_rv <-
-            (match value with
-            | Some v -> Some (operand_value regs v)
-            | None -> None);
-          3
-        | _ :: (caller :: _ as rest) ->
-          (match f.Runtime.Thread.ret_to with
-          | Some dst ->
-            caller.Runtime.Thread.regs.(dst) <-
-              (match value with Some v -> operand_value regs v | None -> 0)
-          | None -> ());
-          t.Runtime.Thread.frames <- rest;
-          0
-        | [] -> failwith "Thread: step on finished thread")
-    end
-
-(* [seq_step_ir] over the flat encoding; same structure as
-   [epoch_step_ic] with the sequential memory/sync semantics. *)
-let seq_step_ic sim =
+(* One sequential instruction with the reference seq-hook semantics,
+   over the flat encoding like [epoch_step]: loads/stores time through
+   the memory system against committed state, sync instructions are
+   transparent, and a goto onto a region header suspends into TLS
+   mode. *)
+let seq_step sim =
   let t = sim.seq_thread in
   match t.Runtime.Thread.frames with
   | [] -> failwith "Thread: step on finished thread"
@@ -2172,7 +1672,7 @@ let seq_step_ic sim =
       if op = 2 then sim.extra_latency <- sim.cfg.Config.lat_mul - 1
       else if op = 3 || op = 4 then
         sim.extra_latency <- sim.cfg.Config.lat_div - 1;
-      finish_ic t f pc 5
+      finish t f pc 5
     end
     else
       match op with
@@ -2181,7 +1681,7 @@ let seq_step_ic sim =
         Array.unsafe_set regs
           (Array.unsafe_get code (pc + 2))
           (if w land 0x100 <> 0 then a else Array.unsafe_get regs a);
-        finish_ic t f pc 4
+        finish t f pc 4
       | 17 (* Load *) ->
         let a = Array.unsafe_get code (pc + 3) in
         let addr = if w land 0x100 <> 0 then a else Array.unsafe_get regs a in
@@ -2189,7 +1689,7 @@ let seq_step_ic sim =
         Array.unsafe_set regs
           (Array.unsafe_get code (pc + 2))
           (Runtime.Memory.get sim.committed addr);
-        finish_ic t f pc 4
+        finish t f pc 4
       | 18 (* Store *) ->
         let a = Array.unsafe_get code (pc + 2) in
         let addr = if w land 0x100 <> 0 then a else Array.unsafe_get regs a in
@@ -2197,7 +1697,7 @@ let seq_step_ic sim =
         let v = Array.unsafe_get code (pc + 3) in
         Runtime.Memory.store sim.committed addr
           (if w land 0x200 <> 0 then v else Array.unsafe_get regs v);
-        finish_ic t f pc 4
+        finish t f pc 4
       | 19 (* Call *) ->
         let fidx = Array.unsafe_get code (pc + 2) in
         if fidx < 0 then
@@ -2207,7 +1707,7 @@ let seq_step_ic sim =
           let callee = (Array.unsafe_get sim.ic_funcs fidx).Icode.fn_cfunc in
           let callee_regs = Array.make callee.Runtime.Code.cf_nregs 0 in
           let nargs = Array.unsafe_get code (pc + 4) in
-          bind_args_ic code regs callee_regs callee.Runtime.Code.cf_params
+          bind_args code regs callee_regs callee.Runtime.Code.cf_params
             (pc + 5) nargs 0;
           f.Runtime.Thread.pc <- pc + 5 + (2 * nargs);
           t.Runtime.Thread.icount <- t.Runtime.Thread.icount + 1;
@@ -2229,7 +1729,7 @@ let seq_step_ic sim =
         t.Runtime.Thread.output <-
           (if w land 0x100 <> 0 then a else Array.unsafe_get regs a)
           :: t.Runtime.Thread.output;
-        finish_ic t f pc 3
+        finish t f pc 3
       | 21 (* Input *) ->
         let a = Array.unsafe_get code (pc + 3) in
         let idx = if w land 0x100 <> 0 then a else Array.unsafe_get regs a in
@@ -2237,24 +1737,24 @@ let seq_step_ic sim =
         Array.unsafe_set regs
           (Array.unsafe_get code (pc + 2))
           (if idx >= 0 && idx < Array.length input then input.(idx) else 0);
-        finish_ic t f pc 4
+        finish t f pc 4
       | 22 (* Input_len *) ->
         Array.unsafe_set regs
           (Array.unsafe_get code (pc + 2))
           (Array.length t.Runtime.Thread.input);
-        finish_ic t f pc 3
-      | 23 (* Wait_scalar: sequentially the identity. *) -> finish_ic t f pc 4
-      | 24 (* Signal_scalar *) -> finish_ic t f pc 4
-      | 25 (* Wait_mem *) -> finish_ic t f pc 3
+        finish t f pc 3
+      | 23 (* Wait_scalar: sequentially the identity. *) -> finish t f pc 4
+      | 24 (* Signal_scalar *) -> finish t f pc 4
+      | 25 (* Wait_mem *) -> finish t f pc 3
       | 26 (* Sync_load *) ->
         let a = Array.unsafe_get code (pc + 4) in
         let addr = if w land 0x100 <> 0 then a else Array.unsafe_get regs a in
         Array.unsafe_set regs
           (Array.unsafe_get code (pc + 3))
           (Runtime.Memory.get sim.committed addr);
-        finish_ic t f pc 5
-      | 27 | 28 (* Signal_mem / _if_unsent *) -> finish_ic t f pc 4
-      | 29 | 30 (* Signal_null / _if_unsent *) -> finish_ic t f pc 3
+        finish t f pc 5
+      | 27 | 28 (* Signal_mem / _if_unsent *) -> finish t f pc 4
+      | 29 | 30 (* Signal_null / _if_unsent *) -> finish t f pc 3
       | _ ->
         let goto target off =
           let proceed =
@@ -2316,8 +1816,6 @@ let seq_step_ic sim =
             0
           | [] -> failwith "Thread: step on finished thread"
         end
-
-let seq_step sim = if sim.use_icode then seq_step_ic sim else seq_step_ir sim
 
 let enter_tls sim (r : Ir.Region.t) =
   let instance =
@@ -2468,8 +1966,7 @@ let create_sim cfg code ~input ~oracle =
             (fun f -> match f with Config.Drop_wakeup _ -> true | _ -> false)
             cfg.Config.sim_faults)
   in
-  let use_icode = cfg.Config.icode in
-  let ic = if use_icode then Icode.of_code code else Icode.empty in
+  let ic = Icode.of_code code in
   {
     cfg;
     code;
@@ -2513,7 +2010,6 @@ let create_sim cfg code ~input ~oracle =
     dropped_wakeups = Hashtbl.create 4;
     resources = Simstats.fresh_resources ();
     parking_enabled;
-    use_icode;
     ic_funcs = ic.Icode.funcs;
     ic_names = ic.Icode.names;
     ic_ret_opts = ic.Icode.ret_opts;

@@ -16,13 +16,11 @@ let find_sub s sub =
 
 let contains s sub = find_sub s sub <> None
 
-let phase ?cycles ?ref_wall ?icode_off_wall ?commits ?aborts ?(wall = 1_000)
-    name =
+let phase ?cycles ?ref_wall ?commits ?aborts ?(wall = 1_000) name =
   {
     Harness.Bench.ph_name = name;
     ph_wall_ns = wall;
     ph_ref_wall_ns = ref_wall;
-    ph_icode_off_wall_ns = icode_off_wall;
     ph_minor_words = 10.0;
     ph_major_words = 2.0;
     ph_cycles = cycles;
@@ -63,7 +61,7 @@ let doc ?matrix ?(serve = []) () =
             List.map
               (fun n ->
                 if List.mem n Harness.Bench.dual_engine_phase_names then
-                  phase ~cycles:42 ~ref_wall:5_000 ~icode_off_wall:2_000 n
+                  phase ~cycles:42 ~ref_wall:5_000 n
                 else if n = Harness.Bench.exec_phase_name then
                   phase ~commits:7 ~aborts:3 n
                 else if String.length n >= 4 && String.sub n 0 4 = "sim_" then
@@ -137,7 +135,10 @@ let replace ~from ~into s =
 
 let schema_violations_are_rejected () =
   rejects "wrong version"
-    (replace ~from:"\"schema_version\": 9" ~into:"\"schema_version\": 2")
+    (replace
+       ~from:
+         (Printf.sprintf "\"schema_version\": %d" Harness.Bench.schema_version)
+       ~into:"\"schema_version\": 2")
     "schema_version";
   rejects "wrong wall unit"
     (replace ~from:"\"wall\": \"ns\"" ~into:"\"wall\": \"ms\"")
@@ -183,20 +184,6 @@ let schema_violations_are_rejected () =
        ~from:"\"phase\": \"sim_seq\", \"wall_ns\": 1000"
        ~into:"\"phase\": \"sim_seq\", \"wall_ns\": 1000, \"ref_wall_ns\": 900")
     "must not carry ref_wall_ns";
-  rejects "tls phase without icode_off_wall_ns"
-    (replace ~from:", \"icode_off_wall_ns\": 2000" ~into:"")
-    "icode_off_wall_ns";
-  rejects "negative icode_off_wall_ns"
-    (replace ~from:"\"icode_off_wall_ns\": 2000"
-       ~into:"\"icode_off_wall_ns\": -1")
-    "icode_off_wall_ns";
-  rejects "icode_off_wall_ns on a single-engine phase"
-    (replace
-       ~from:"\"phase\": \"sim_seq\", \"wall_ns\": 1000"
-       ~into:
-         "\"phase\": \"sim_seq\", \"wall_ns\": 1000, \"icode_off_wall_ns\": \
-          900")
-    "must not carry icode_off_wall_ns";
   rejects "negative wall time"
     (replace ~from:"\"wall_ns\": 1000" ~into:"\"wall_ns\": -5")
     "wall_ns";
@@ -326,17 +313,17 @@ let gate_fails_on_injected_wall_regression () =
   | Error report ->
     check_bool "regression named in report" true (contains report "REGRESSION");
     check_bool "offending phase named" true (contains report "sim_tls"));
-  (* The ref-oracle and icode-off walls are gated too. *)
+  (* The ref-oracle wall is gated too. *)
   let new_j =
-    replace ~from:"\"icode_off_wall_ns\": 2000"
-      ~into:"\"icode_off_wall_ns\": 20000" old_j
+    replace ~from:"\"ref_wall_ns\": 5000" ~into:"\"ref_wall_ns\": 50000"
+      old_j
   in
   match gate old_j new_j with
   | Ok report ->
-    Alcotest.fail ("icode-off wall regression passed the gate: " ^ report)
+    Alcotest.fail ("ref-oracle wall regression passed the gate: " ^ report)
   | Error report ->
-    check_bool "icode_off regression flagged" true
-      (contains report "icode_off_wall")
+    check_bool "ref_wall regression flagged" true
+      (contains report "ref_wall geomean regressed")
 
 let gate_fails_on_counter_drift () =
   let old_j = Harness.Bench.to_json (doc ~matrix ()) in

@@ -14,10 +14,10 @@
    simulator setups (unbounded C mode, finite-hardware bounds, sync
    scheduler), the PR2 fault catalog on the chain program, and a
    260-program Proggen sweep (200 unbounded + 60 under finite-hardware
-   bounds).  Every differential run is three-way
-   since PR10: the reference engine against the event engine with the
-   flat icode encoding on AND off, so an icode lowering bug cannot hide
-   behind a matching bug in the boxed dispatcher (or vice versa). *)
+   bounds).  Every differential run pits the reference engine, which
+   interprets the boxed IR, against the event engine, which dispatches
+   on the flat icode encoding, so the encoder is checked against code it
+   does not share. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -133,19 +133,9 @@ let check_outcomes label a b =
          label (name a) (name b))
 
 let diff_run label cfg code input =
-  let ra = run_engine Tls.Config.Engine_ref cfg code input in
-  let rb =
-    run_engine Tls.Config.Engine_event
-      { cfg with Tls.Config.icode = true }
-      code input
-  in
-  check_outcomes (label ^ "/icode") ra rb;
-  let rc =
-    run_engine Tls.Config.Engine_event
-      { cfg with Tls.Config.icode = false }
-      code input
-  in
-  check_outcomes (label ^ "/no-icode") ra rc
+  check_outcomes label
+    (run_engine Tls.Config.Engine_ref cfg code input)
+    (run_engine Tls.Config.Engine_event cfg code input)
 
 (* ------------------------------------------------------------------ *)
 (* Workload matrix: 15 workloads x {unbounded, bounded, sync-sched}    *)
@@ -294,42 +284,21 @@ let resource_deadlock_diff () =
 (* Generated-program sweep                                             *)
 (* ------------------------------------------------------------------ *)
 
-let outcomes_agree a b =
-  match (a, b) with
-  | Finished a, Finished b ->
-    String.equal (Tls.Simstats.fingerprint a) (Tls.Simstats.fingerprint b)
-    && a.Tls.Simstats.resources = b.Tls.Simstats.resources
-    && a.Tls.Simstats.sync_stall_by_channel
-       = b.Tls.Simstats.sync_stall_by_channel
-    && a.Tls.Simstats.violated_load_counts
-       = b.Tls.Simstats.violated_load_counts
-    && Runtime.Memory.equal a.Tls.Simstats.final_memory
-         b.Tls.Simstats.final_memory
-  | E_deadlock a, E_deadlock b -> String.equal a b
-  | E_stuck a, E_stuck b -> a = b
-  | E_resource a, E_resource b -> a = b
-  | E_cycle_limit a, E_cycle_limit b -> a = b
-  | E_failure a, E_failure b -> String.equal a b
-  | _ -> false
+(* A failing seed raises [diff_run]'s check failure, which names the
+   seed and the first divergent field. *)
+let proggen_diff cfg seed =
+  let source, input = Faults.Proggen.generate ~seed in
+  let compiled = compile_src source input in
+  diff_run
+    (Printf.sprintf "proggen seed %d" seed)
+    cfg compiled.Tlscore.Pipeline.code input;
+  true
 
 let proggen_equivalence =
   QCheck.Test.make ~count:200
     ~name:"proggen: ref and event engines agree on every observable"
     QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let source, input = Faults.Proggen.generate ~seed in
-      let compiled = compile_src source input in
-      let code = compiled.Tlscore.Pipeline.code in
-      let ra = run_engine Tls.Config.Engine_ref Tls.Config.c_mode code input in
-      let rb =
-        run_engine Tls.Config.Engine_event Tls.Config.c_mode code input
-      in
-      let rc =
-        run_engine Tls.Config.Engine_event
-          { Tls.Config.c_mode with Tls.Config.icode = false }
-          code input
-      in
-      outcomes_agree ra rb && outcomes_agree ra rc)
+    (proggen_diff Tls.Config.c_mode)
 
 (* And under the finite-hardware bounds, where overflow squashes,
    signal drops and backpressure all engage. *)
@@ -337,18 +306,7 @@ let proggen_equivalence_bounded =
   QCheck.Test.make ~count:60
     ~name:"proggen: engines agree under finite-hardware bounds"
     QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let source, input = Faults.Proggen.generate ~seed in
-      let compiled = compile_src source input in
-      let code = compiled.Tlscore.Pipeline.code in
-      let ra = run_engine Tls.Config.Engine_ref bounded_cfg code input in
-      let rb = run_engine Tls.Config.Engine_event bounded_cfg code input in
-      let rc =
-        run_engine Tls.Config.Engine_event
-          { bounded_cfg with Tls.Config.icode = false }
-          code input
-      in
-      outcomes_agree ra rb && outcomes_agree ra rc)
+    (proggen_diff bounded_cfg)
 
 (* ------------------------------------------------------------------ *)
 

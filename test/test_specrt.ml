@@ -81,17 +81,6 @@ let workload_repeated (w : Workloads.Workload.t) () =
   let compiled = compile_workload w in
   let code = compiled.Tlscore.Pipeline.code in
   let sim = Tls.Sim.run Tls.Config.c_mode code ~input () in
-  (* The simulator baseline must not depend on the icode encoding: pin
-     both before diffing the runtime against it. *)
-  let sim_no_icode =
-    Tls.Sim.run
-      { Tls.Config.c_mode with Tls.Config.icode = false }
-      code ~input ()
-  in
-  Alcotest.(check string)
-    (name ^ ": simulator fingerprint, icode on = off")
-    (Tls.Simstats.fingerprint sim)
-    (Tls.Simstats.fingerprint sim_no_icode);
   for seed = 1 to 10 do
     ignore
       (exec_diff
