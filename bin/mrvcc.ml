@@ -20,7 +20,7 @@
      mrvcc chaos --bench all --jobs 4            # same matrix, 4 domains
      mrvcc chaos --fuzz 20 --seed 7              # chaos-fuzz generated programs
      mrvcc chaos --bench all --capacity          # finite-resource sweep
-     mrvcc bench --json --out BENCH_PR12.json    # machine-readable baseline
+     mrvcc bench --json --out BENCH_PR13.json    # machine-readable baseline
      mrvcc bench --bench mcf --json              # one workload, to stdout
      mrvcc exec --bench parser --domains 4       # real TLS run on domains
      mrvcc exec --bench go --mode U --record r.jsonl   # record a racy run
@@ -31,7 +31,7 @@
      mrvcc serve requests.jsonl --cache-dir .cache --deadline 5 --retries 2
      mrvcc chaos --serve --bench twolf,ijpeg     # service-layer fault matrix
      mrvcc bench --json --serve --out B.json     # + serve load phases
-     mrvcc benchdiff BENCH_PR12.json fresh.json  # perf-regression gate
+     mrvcc benchdiff BENCH_PR13.json fresh.json  # perf-regression gate
      mrvcc benchdiff old.json new.json --tolerance 0.3
 
    `--jobs N` runs independent matrix cells on N domains; the rendered
@@ -150,9 +150,6 @@ let guarded f =
     exit 5
   | Runtime.Thread.Unexpected_stop { reason; icount } ->
     Printf.eprintf "sequential thread %s after %d instructions\n" reason icount;
-    exit 6
-  | Profiler.Runner.Unexpected_stop { reason; icount } ->
-    Printf.eprintf "profiled thread %s after %d instructions\n" reason icount;
     exit 6
   | Tls.Sim.Resource_deadlock d ->
     Printf.eprintf "resource deadlock: %s\n"

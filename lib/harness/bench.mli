@@ -1,6 +1,6 @@
 (** Machine-readable performance baseline: the wall time and allocation
     of each pipeline phase per workload, emitted as schema-versioned JSON
-    (committed as [BENCH_PR12.json]; the older [BENCH_PR*.json] files are
+    (committed as [BENCH_PR13.json]; the older [BENCH_PR*.json] files are
     the trajectory record) so later PRs have a perf trajectory to
     regress against.
 

@@ -8,19 +8,16 @@
 
     The runner is the software stand-in for the paper's binary
     instrumentation tool; it observes the same events (every load, store,
-    and loop back edge). *)
+    and loop back edge).  It interprets the flat {!Runtime.Icode}
+    encoding with no allocation per instruction. *)
 
-(** Raised by {!run} when the profiled execution exceeds its step budget. *)
+(** Raised by {!run} when the profiled execution exceeds its step budget:
+    before each instruction, as soon as [icount > max_steps]. *)
 exception Step_limit of { max_steps : int; icount : int }
-
-(** Raised by {!run} if the profiled (sequential) execution blocks or
-    suspends — impossible for well-formed programs under sequential hooks. *)
-exception Unexpected_stop of { reason : string; icount : int }
 
 (** [run prog ~input ~watch] profiles one execution.
     @param watch loops to collect dependence profiles for (may be empty).
-    @raise Step_limit if execution exceeds [max_steps] (default 200M).
-    @raise Unexpected_stop if execution blocks. *)
+    @raise Step_limit if execution exceeds [max_steps] (default 200M). *)
 val run :
   ?max_steps:int ->
   Ir.Prog.t ->

@@ -243,8 +243,7 @@ let classify = function
     ( "step-limit",
       Printf.sprintf "step budget exhausted: %d instructions (limit %d)"
         icount max_steps )
-  | Runtime.Thread.Unexpected_stop { reason; icount }
-  | Profiler.Runner.Unexpected_stop { reason; icount } ->
+  | Runtime.Thread.Unexpected_stop { reason; icount } ->
     ( "malformed-sequential",
       Printf.sprintf "sequential thread %s after %d instructions" reason
         icount )

@@ -13,7 +13,7 @@
      unchecked reads, so it has to actually catch these. *)
 
 module I = Ir.Instr
-module Icode = Tls.Icode
+module Icode = Runtime.Icode
 
 let check_bool = Alcotest.(check bool)
 
