@@ -25,6 +25,9 @@ type t = {
   output : int list;
 }
 
+let fresh_loop_stats () =
+  { instances = 0; iterations = 0; dyn_instrs = 0; nested_instances = 0 }
+
 let fresh_dep_profile () =
   {
     total_epochs = 0;
@@ -36,8 +39,7 @@ let fresh_dep_profile () =
 let stats t key =
   match Hashtbl.find_opt t.loops key with
   | Some s -> s
-  | None ->
-    { instances = 0; iterations = 0; dyn_instrs = 0; nested_instances = 0 }
+  | None -> fresh_loop_stats ()
 
 let coverage t key =
   if t.total_instrs = 0 then 0.0

@@ -49,6 +49,8 @@ type t = {
   output : int list;                           (* program output, for checks *)
 }
 
+val fresh_loop_stats : unit -> loop_stats
+
 val fresh_dep_profile : unit -> dep_profile
 
 (** Fraction of program instructions spent in the loop (0..1). *)
