@@ -1215,8 +1215,17 @@ let bench_arg =
 let input_arg =
   Arg.(value & opt (some string) None & info [ "in" ] ~docv:"N,N,...")
 
+(* The same range the serve codec accepts for a request's "threshold". *)
+let fraction =
+  let parse s =
+    match float_of_string_opt s with
+    | Some t when t >= 0.0 && t <= 1.0 -> Ok t
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a fraction in [0,1]" s))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let threshold_arg =
-  Arg.(value & opt float 0.05 & info [ "threshold" ] ~docv:"FRACTION")
+  Arg.(value & opt fraction 0.05 & info [ "threshold" ] ~docv:"FRACTION")
 
 let mode_arg = Arg.(value & opt string "C" & info [ "mode" ] ~docv:"U|C|H|P|B")
 

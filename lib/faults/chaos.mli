@@ -41,6 +41,16 @@ type cell = {
 (** U, C, H, B. *)
 val default_modes : (string * Tls.Config.t) list
 
+(** The matrices' compile of [p]: lint off, memory sync profiled on the
+    training input at threshold 0.05, and only [main]'s loops selected
+    when [p_select_main]. *)
+val compile :
+  ?profile_fault:
+    (Profiler.Profile.dep_profile -> Profiler.Profile.dep_profile) ->
+  ?sync_sched:bool ->
+  program ->
+  Tlscore.Pipeline.compiled
+
 (** All cells for one program: the baseline plus every fault in [faults],
     under every mode.  [watchdog] overrides the watchdog window;
     [sync_sched] compiles every artifact (baseline, profile-fault

@@ -66,23 +66,6 @@ let baseline =
   { a_name = "none"; a_detectable = false; a_faults = [];
     a_watchdog_ms = watchdog_ms; a_max_aborts = 64 }
 
-let compile (p : Chaos.program) =
-  let selection =
-    if not p.Chaos.p_select_main then None
-    else
-      let prog = Tlscore.Pipeline.original ~source:p.Chaos.p_source in
-      Some
-        (List.filter
-           (fun k -> String.equal k.Profiler.Profile.lk_func "main")
-           (Profiler.Runner.all_loops prog))
-  in
-  Tlscore.Pipeline.compile ?selection ~lint:false ~source:p.Chaos.p_source
-    ~profile_input:p.Chaos.p_train
-    ~memory_sync:
-      (Tlscore.Pipeline.Profiled
-         { dep_input = p.Chaos.p_train; threshold = 0.05 })
-    ()
-
 let sequential_ref (code : Runtime.Code.t) input =
   let mem = Runtime.Memory.create () in
   Runtime.Memory.store_all mem code.Runtime.Code.initial_stores;
@@ -121,7 +104,7 @@ let classify (a : armed) cfg code input =
     Chaos.Failed ("exec deadlock: " ^ msg)
 
 let run_program ?(log = ignore) (p : Chaos.program) =
-  let compiled = compile p in
+  let compiled = Chaos.compile p in
   let code = compiled.Tlscore.Pipeline.code in
   let cfg = Tls.Config.c_mode in
   List.map

@@ -80,15 +80,15 @@ let bounded_cfg =
 
 let timed_phase name f =
   let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
+  let g0 = Gc.quick_stat () and w0 = Gc.minor_words () in
   let v = f () in
-  let g1 = Gc.quick_stat () in
+  let w1 = Gc.minor_words () and g1 = Gc.quick_stat () in
   ( v,
     {
       ph_name = name;
       ph_wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
       ph_ref_wall_ns = None;
-      ph_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+      ph_minor_words = w1 -. w0;
       ph_major_words = g1.Gc.major_words -. g0.Gc.major_words;
       ph_cycles = None;
       ph_commits = None;
@@ -132,7 +132,8 @@ let bench_workload (w : Workloads.Workload.t) =
                { dep_input = ref_input; threshold = 0.05 })
           ())
   in
-  let code0 = Runtime.Code.of_prog (Tlscore.Pipeline.original ~source) in
+  (* The profile phase only reads [prog], so it is still the original. *)
+  let code0 = Runtime.Code.of_prog prog in
   let seq =
     Tls.Sim.run_sequential Tls.Config.default code0 ~input:ref_input
       ~track:compiled.Tlscore.Pipeline.code.Runtime.Code.regions

@@ -4,8 +4,9 @@
 
     The passes never touch memory accesses, calls, I/O, or TLS
     synchronization instructions, and they preserve instruction ids of
-    surviving instructions, so profiles gathered on an optimized program
-    remain valid for an identically optimized second compile. *)
+    surviving instructions, so a transformed program's region and sync
+    tables stay valid across them.  [Tlscore.Pipeline.compile] does not
+    run them. *)
 
 (** Fold [Bin] instructions whose operands are both immediates.  Returns
     the number of instructions folded. *)

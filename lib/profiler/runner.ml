@@ -520,13 +520,6 @@ let run ?(max_steps = 200_000_000) (prog : Ir.Prog.t) ~input ~watch =
     }
   in
   let icount = exec st root main.fn.Icode.code regs 0 0 in
-  (* The loop allocates almost nothing on the minor heap, so no minor
-     collection, and with it no major slice, runs during a profile,
-     while the run's memory image and icode, allocated directly on the
-     major heap, are garbage from here on.  One slice lets the major GC
-     catch up with them.  Without it, the heap a caller's later
-     [Gc.compact] leaves behind was measured up to a fifth larger. *)
-  ignore (Gc.major_slice 0);
   {
     st.profile with
     Profile.total_instrs = icount;

@@ -1502,17 +1502,19 @@ let create_sim cfg code ~input ~oracle ~tls_enabled =
 
 (* Host-side measurement of one run: wall time and words allocated.
    [Gc.minor_words]/[Gc.major_words] are cumulative per-domain counters,
-   so the difference is what [f] itself allocated. *)
+   so the difference is what [f] itself allocated.  [Gc.quick_stat]'s
+   minor count only advances at minor collections, so a run that
+   triggers none would read 0; [Gc.minor_words ()] is exact. *)
 let with_runtime_counters f =
   let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
+  let g0 = Gc.quick_stat () and w0 = Gc.minor_words () in
   let v = f () in
-  let g1 = Gc.quick_stat () in
+  let w1 = Gc.minor_words () and g1 = Gc.quick_stat () in
   let rt =
     {
       Simstats.rt_wall_ns =
         int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
-      rt_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+      rt_minor_words = w1 -. w0;
       rt_major_words = g1.Gc.major_words -. g0.Gc.major_words;
     }
   in

@@ -111,11 +111,11 @@ let apply (prog : Ir.Prog.t) ~region_func ~accesses =
       Hashtbl.replace clones prefix (clone_name, mapping);
       (* Redirect the call site in the parent (clone) to the new clone. *)
       let parent = Ir.Prog.func prog parent_name in
-      (match Edit.instr parent call_iid_in_parent with
+      (match Ir.Edit.instr parent call_iid_in_parent with
       | Some i -> begin
         match i.Ir.Instr.kind with
         | Ir.Instr.Call (dst, _, args) ->
-          Edit.replace_kind parent ~anchor:call_iid_in_parent
+          Ir.Edit.replace_kind parent ~anchor:call_iid_in_parent
             (Ir.Instr.Call (dst, clone_name, args))
         | _ -> failwith "Cloning.apply: redirect target is not a call"
       end

@@ -46,7 +46,7 @@ let static_address prog resolve (g : Grouping.group) =
   let addr_of access =
     let fname, iid = resolve access in
     let f = Ir.Prog.func prog fname in
-    match Option.bind (Edit.instr f iid) address_operand with
+    match Option.bind (Ir.Edit.instr f iid) address_operand with
     | Some (Ir.Instr.Imm a) -> Some a
     | Some (Ir.Instr.Reg _) | None -> None
   in
@@ -213,9 +213,9 @@ let apply ?(eager_signals = true) (prog : Ir.Prog.t) (region : Ir.Region.t)
               (fun a ->
                 let fname, iid = cloning.Cloning.resolve a in
                 let f = Ir.Prog.func prog fname in
-                (match Edit.instr f iid with
+                (match Ir.Edit.instr f iid with
                 | Some { Ir.Instr.kind = Ir.Instr.Load (d, addr); _ } ->
-                  Edit.insert_before f ~anchor:iid
+                  Ir.Edit.insert_before f ~anchor:iid
                     [
                       {
                         Ir.Instr.iid =
@@ -224,7 +224,7 @@ let apply ?(eager_signals = true) (prog : Ir.Prog.t) (region : Ir.Region.t)
                         kind = Ir.Instr.Wait_mem ch;
                       };
                     ];
-                  Edit.replace_kind f ~anchor:iid
+                  Ir.Edit.replace_kind f ~anchor:iid
                     (Ir.Instr.Sync_load (ch, d, addr));
                   incr sync_loads
                 | Some _ ->
@@ -244,7 +244,7 @@ let apply ?(eager_signals = true) (prog : Ir.Prog.t) (region : Ir.Region.t)
             List.iter
               (fun latch ->
                 incr guarded;
-                Edit.append region_f latch
+                Ir.Edit.append region_f latch
                   [
                     fresh
                       (Printf.sprintf "signal_mem_if_unsent ch%d" ch)
@@ -296,7 +296,7 @@ let apply ?(eager_signals = true) (prog : Ir.Prog.t) (region : Ir.Region.t)
                     done;
                     if (not !later_in_block) && not succs_later then begin
                       incr sync_stores;
-                      Edit.insert_after region_f
+                      Ir.Edit.insert_after region_f
                         ~anchor:instrs.(idx).Ir.Instr.iid
                         [
                           fresh
@@ -319,7 +319,7 @@ let apply ?(eager_signals = true) (prog : Ir.Prog.t) (region : Ir.Region.t)
                        preds.(l)
                 then begin
                   incr guarded;
-                  Edit.prepend region_f l
+                  Ir.Edit.prepend region_f l
                     [
                       fresh
                         (Printf.sprintf "signal_mem_if_unsent ch%d" ch)
@@ -330,7 +330,7 @@ let apply ?(eager_signals = true) (prog : Ir.Prog.t) (region : Ir.Region.t)
             (* No store point reachable at all: forward at epoch start. *)
             if not later.(region.Ir.Region.header) then begin
               incr guarded;
-              Edit.prepend region_f region.Ir.Region.header
+              Ir.Edit.prepend region_f region.Ir.Region.header
                 [
                   fresh
                     (Printf.sprintf "signal_mem_if_unsent ch%d" ch)
@@ -345,10 +345,10 @@ let apply ?(eager_signals = true) (prog : Ir.Prog.t) (region : Ir.Region.t)
             List.iter
               (fun (fname, iid) ->
                 let f = Ir.Prog.func prog fname in
-                match Edit.instr f iid with
+                match Ir.Edit.instr f iid with
                 | Some { Ir.Instr.kind = Ir.Instr.Store (addr, _); _ } ->
                   incr sync_stores;
-                  Edit.insert_after f ~anchor:iid
+                  Ir.Edit.insert_after f ~anchor:iid
                     [
                       {
                         Ir.Instr.iid =
@@ -370,7 +370,7 @@ let apply ?(eager_signals = true) (prog : Ir.Prog.t) (region : Ir.Region.t)
               List.filter_map
                 (fun (fname, iid) ->
                   if String.equal fname region.Ir.Region.func then
-                    Option.map fst (Edit.find_instr region_f iid)
+                    Option.map fst (Ir.Edit.find_instr region_f iid)
                   else None)
                 store_sites
             in
@@ -386,7 +386,7 @@ let apply ?(eager_signals = true) (prog : Ir.Prog.t) (region : Ir.Region.t)
               List.iter
                 (fun latch ->
                   incr null_signals;
-                  Edit.append region_f latch
+                  Ir.Edit.append region_f latch
                     [
                       fresh
                         (Printf.sprintf "signal_null ch%d" ch)

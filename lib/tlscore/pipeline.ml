@@ -9,7 +9,6 @@ type compiled = {
   loop_profile : Profiler.Profile.t;
   dep_profiles : (Profiler.Profile.loop_key * Profiler.Profile.dep_profile) list;
   mem_stats : (Profiler.Profile.loop_key * Memsync.stats) list;
-  scalar_infos : (Profiler.Profile.loop_key * Regions.scalar_info list) list;
   unroll_factors : (Profiler.Profile.loop_key * int) list;
   lint_findings : Analysis.Synclint.finding list;
   sched_stats : Analysis.Syncsched.stats;
@@ -17,47 +16,36 @@ type compiled = {
 
 let original ~source = Ir.Lower.compile_source source
 
-let compile ?thresholds ?selection ?(unroll = true) ?(optimize = false)
-    ?(eager_signals = true) ?(lint = true) ?(sync_sched = false)
-    ?profile_fault ~source ~profile_input ~memory_sync () =
-  (* Profile the untransformed program. *)
-  let reference = Ir.Lower.compile_source source in
-  if optimize then ignore (Ir.Opt.run reference);
-  let loop_profile =
-    Profiler.Runner.run reference ~input:profile_input ~watch:[]
-  in
+let compile ?selection ?(eager_signals = true) ?(lint = true)
+    ?(sync_sched = false) ?profile_fault ~source ~profile_input ~memory_sync
+    () =
+  let prog = Ir.Lower.compile_source source in
+  let loop_profile = Profiler.Runner.run prog ~input:profile_input ~watch:[] in
   let selected =
     match selection with
     | Some keys -> keys
-    | None -> Selection.select ?thresholds reference loop_profile
+    | None -> Selection.select prog loop_profile
   in
-  (* Small-loop unrolling (paper §3.1), applied identically to the
-     reference (so dependence profiling sees unrolled epochs) and to the
-     program being transformed — lowering and unrolling are deterministic,
-     so instruction ids agree between the two compiles. *)
+  (* Small-loop unrolling (paper §3.1) comes before dependence profiling,
+     so epochs and frequencies refer to unrolled iterations. *)
   let unroll_factors =
     List.map
-      (fun key ->
-        ( key,
-          if unroll then Unroll.suggested_factor loop_profile key else 1 ))
+      (fun key -> (key, Unroll.suggested_factor loop_profile key))
       selected
   in
-  let apply_unrolling target =
-    List.iter
-      (fun (key, factor) ->
-        if factor > 1 then ignore (Unroll.apply target key ~factor))
-      unroll_factors
-  in
-  apply_unrolling reference;
+  List.iter
+    (fun (key, factor) ->
+      if factor > 1 then ignore (Unroll.apply prog key ~factor))
+    unroll_factors;
+  (* The dependence profile runs before any sync pass: the profiled program
+     is exactly the one whose instruction ids the sync passes rewrite. *)
   let dep_profiles =
     match memory_sync with
     | No_memory_sync -> []
     | Profiled { dep_input; _ } ->
       if selected = [] then []
       else begin
-        let p =
-          Profiler.Runner.run reference ~input:dep_input ~watch:selected
-        in
+        let p = Profiler.Runner.run prog ~input:dep_input ~watch:selected in
         List.filter_map
           (fun key ->
             Option.map
@@ -66,35 +54,35 @@ let compile ?thresholds ?selection ?(unroll = true) ?(optimize = false)
           selected
       end
   in
+  (* A profile run allocates its memory image and icode directly on the
+     major heap and almost nothing on the minor heap, so no minor
+     collection, and with it no major slice, runs during it.  One slice
+     after the profile runs lets the major GC catch up with that garbage.
+     Without it, the heap a caller's later [Gc.compact] leaves behind was
+     measured up to a fifth larger. *)
+  ignore (Gc.major_slice 0);
   (* Chaos hook: distort the dependence profiles the sync passes consume
      (drop/duplicate/shuffle arcs, stale-train substitution) without
-     touching the reference execution. *)
+     touching the profiling run. *)
   let dep_profiles =
     match profile_fault with
     | None -> dep_profiles
     | Some f -> List.map (fun (key, dp) -> (key, f dp)) dep_profiles
   in
-  (* Transform a fresh compile of the same source. *)
-  let prog = Ir.Lower.compile_source source in
-  if optimize then ignore (Ir.Opt.run prog);
-  apply_unrolling prog;
-  let regions_and_infos =
-    List.map (fun key -> (key, Regions.create prog key)) selected
-  in
-  let scalar_infos =
-    List.map (fun (key, (_, infos)) -> (key, infos)) regions_and_infos
+  let regions =
+    List.map (fun key -> (key, fst (Regions.create prog key))) selected
   in
   let mem_stats =
     match memory_sync with
     | No_memory_sync -> []
     | Profiled { threshold; _ } ->
       List.filter_map
-        (fun (key, (region, _)) ->
+        (fun (key, region) ->
           match List.assoc_opt key dep_profiles with
           | Some dp ->
             Some (key, Memsync.apply ~eager_signals prog region dp ~threshold)
           | None -> None)
-        regions_and_infos
+        regions
   in
   Ir.Verify.check_exn prog;
   (* Sync scheduling (signal hoisting / wait sinking) runs after both sync
@@ -121,7 +109,6 @@ let compile ?thresholds ?selection ?(unroll = true) ?(optimize = false)
     loop_profile;
     dep_profiles;
     mem_stats;
-    scalar_infos;
     unroll_factors;
     lint_findings;
     sched_stats;

@@ -1,12 +1,12 @@
 (** End-to-end compilation pipeline (paper §3.1):
 
-    source → lower → loop-profile → select regions → scalar sync
-    → (optionally) dependence-profile → memory sync → executable snapshot.
+    source → lower → loop-profile → select regions → unroll
+    → (optionally) dependence-profile → scalar sync → memory sync
+    → executable snapshot.
 
-    Profiling and transformation use separate compiles of the same source;
-    lowering is deterministic, so instruction ids and labels agree between
-    them (mirroring the paper's use of profiles gathered on one binary to
-    transform another build of the same program). *)
+    One lowered program goes through every step: both profiles run on it
+    before any sync pass rewrites it, so profile instruction ids are the
+    ids the passes transform. *)
 
 type memory_sync =
   | No_memory_sync
@@ -20,7 +20,6 @@ type compiled = {
   loop_profile : Profiler.Profile.t;
   dep_profiles : (Profiler.Profile.loop_key * Profiler.Profile.dep_profile) list;
   mem_stats : (Profiler.Profile.loop_key * Memsync.stats) list;
-  scalar_infos : (Profiler.Profile.loop_key * Regions.scalar_info list) list;
   unroll_factors : (Profiler.Profile.loop_key * int) list;
       (* factor applied per selected loop (1 = left alone) *)
   lint_findings : Analysis.Synclint.finding list;
@@ -34,20 +33,15 @@ type compiled = {
 (** Compile one configuration.
     @param profile_input drives region selection (the paper's automatically
     gathered loop profile).
-    @param selection overrides the heuristics (used by tests).
-    @param unroll applies the paper's small-loop unrolling (default true);
-    dependence profiling then runs on the unrolled program, so epochs and
-    frequencies refer to unrolled iterations.
-    @param optimize runs the scalar optimizer (fold/copy-prop/DCE) on both
-    compiles before any profiling or transformation (default false, so the
-    calibrated workload timings are those reported in EXPERIMENTS.md).
+    @param selection overrides the heuristics (used by the chaos harness
+    and tests).
     @param eager_signals see {!Memsync.apply} (ablation knob).
     @param lint run {!Analysis.Synclint} on the transformed program and
     report its findings in [lint_findings] (default true; findings never
     abort the compile).
     @param profile_fault distorts each collected dependence profile before
     the memory-sync pass consumes it (the chaos harness's profile-fault
-    layer); the reference execution itself is untouched.
+    layer); the profiling run itself is untouched.
     @param sync_sched run {!Analysis.Syncsched} after the sync passes —
     hoist signals toward their value definitions and sink waits toward
     their first uses (default false; off, the generated code is
@@ -56,10 +50,7 @@ type compiled = {
     points-to analysis.
     The resulting program is always checked by {!Ir.Verify}. *)
 val compile :
-  ?thresholds:Selection.thresholds ->
   ?selection:Profiler.Profile.loop_key list ->
-  ?unroll:bool ->
-  ?optimize:bool ->
   ?eager_signals:bool ->
   ?lint:bool ->
   ?sync_sched:bool ->

@@ -11,15 +11,6 @@
     paper's requirement that selected regions not be nested within each
     other. *)
 
-type thresholds = {
-  min_coverage : float;        (* fraction, default 0.001 *)
-  min_epochs_per_instance : float;  (* default 1.5 *)
-  min_instrs_per_epoch : float;     (* default 15. *)
-  num_procs : int;             (* default 4 *)
-}
-
-val default_thresholds : thresholds
-
 type candidate = {
   key : Profiler.Profile.loop_key;
   coverage : float;
@@ -29,12 +20,7 @@ type candidate = {
 }
 
 (** All loops that pass the three filters, best benefit first. *)
-val candidates :
-  ?thresholds:thresholds -> Ir.Prog.t -> Profiler.Profile.t -> candidate list
+val candidates : Ir.Prog.t -> Profiler.Profile.t -> candidate list
 
 (** The greedy non-overlapping choice. *)
-val select :
-  ?thresholds:thresholds ->
-  Ir.Prog.t ->
-  Profiler.Profile.t ->
-  Profiler.Profile.loop_key list
+val select : Ir.Prog.t -> Profiler.Profile.t -> Profiler.Profile.loop_key list

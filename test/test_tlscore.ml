@@ -293,25 +293,40 @@ let unroll_in_pipeline_absorbs_deps () =
     "int g; int a[64]; void main() { int i; for (i = 0; i < 40; i = i + 1) \
      { g = g + a[i % 64] + (a[(i * 3) % 64] >> 1) + 1; } print(g); }"
   in
-  let with_u =
+  (* Dependence-profiled epochs of the selected loop, with or without the
+     suggested unrolling applied first. *)
+  let dep_epochs ~unroll =
+    let prog = Tlscore.Pipeline.original ~source:src in
+    let lp = Profiler.Runner.run prog ~input:[||] ~watch:[] in
+    let selected = Tlscore.Selection.select prog lp in
+    let factors =
+      List.map (fun k -> (k, Tlscore.Unroll.suggested_factor lp k)) selected
+    in
+    if unroll then
+      List.iter
+        (fun (k, factor) ->
+          if factor > 1 then ignore (Tlscore.Unroll.apply prog k ~factor))
+        factors;
+    let p = Profiler.Runner.run prog ~input:[||] ~watch:selected in
+    match selected with
+    | k :: _ ->
+      (factors, (Option.get (Profiler.Profile.dep_profile p k)).total_epochs)
+    | [] -> (factors, 0)
+  in
+  let factors, with_u = dep_epochs ~unroll:true in
+  let _, without_u = dep_epochs ~unroll:false in
+  check_bool "unroll applied" true (List.exists (fun (_, f) -> f > 1) factors);
+  check_bool "fewer epochs after unrolling" true (with_u < without_u);
+  (* The pipeline profiles dependences on the unrolled program. *)
+  let c =
     Tlscore.Pipeline.compile ~source:src ~profile_input:[||]
       ~memory_sync:(Tlscore.Pipeline.Profiled { dep_input = [||]; threshold = 0.05 })
       ()
   in
-  let without_u =
-    Tlscore.Pipeline.compile ~unroll:false ~source:src ~profile_input:[||]
-      ~memory_sync:(Tlscore.Pipeline.Profiled { dep_input = [||]; threshold = 0.05 })
-      ()
-  in
-  let epochs c =
-    match c.Tlscore.Pipeline.dep_profiles with
-    | (_, dp) :: _ -> dp.Profiler.Profile.total_epochs
-    | [] -> 0
-  in
-  check_bool "unroll applied" true
-    (List.exists (fun (_, f) -> f > 1) with_u.Tlscore.Pipeline.unroll_factors);
-  check_bool "fewer epochs after unrolling" true
-    (epochs with_u < epochs without_u)
+  match c.Tlscore.Pipeline.dep_profiles with
+  | (_, dp) :: _ ->
+    check_int "pipeline epochs" with_u dp.Profiler.Profile.total_epochs
+  | [] -> Alcotest.fail "no dependence profile"
 
 (* ------------------------------------------------------------------ *)
 (* Grouping                                                            *)
@@ -525,23 +540,10 @@ let memsync_region_groups_registered () =
     check_int "one store" 1 (List.length mg.Ir.Region.mg_stores)
   | rs -> Alcotest.fail (Printf.sprintf "expected 1 region, got %d" (List.length rs))
 
-let pipeline_optimize_flag () =
-  (* The optimizer runs before profiling/transformation and must preserve
-     both semantics and the synchronization machinery. *)
-  let c =
-    Tlscore.Pipeline.compile ~optimize:true ~source:memsync_src
-      ~profile_input:[||]
-      ~memory_sync:(Tlscore.Pipeline.Profiled { dep_input = [||]; threshold = 0.05 })
-      ()
-  in
-  check_bool "still synchronized" true
-    (List.exists
-       (fun (_, (s : Tlscore.Memsync.stats)) -> s.Tlscore.Memsync.ms_sync_loads > 0)
-       c.Tlscore.Pipeline.mem_stats);
-  check_semantics_preserved "optimized pipeline" memsync_src [||]
-    c.Tlscore.Pipeline.prog;
-  (* And the optimizer run on an already-transformed program must not
-     break its sync instructions either. *)
+let pipeline_post_transform_optimize () =
+  (* The optimizer run on an already-transformed program must not break
+     its sync instructions. *)
+  let c = compile_with_memsync memsync_src [||] in
   let simplified = Ir.Opt.run c.Tlscore.Pipeline.prog in
   Ir.Verify.check_exn c.Tlscore.Pipeline.prog;
   check_bool "optimizer ran" true (simplified >= 0);
@@ -654,7 +656,8 @@ let () =
           Alcotest.test_case "null elision" `Quick memsync_null_elision;
           Alcotest.test_case "groups registered" `Quick memsync_region_groups_registered;
           Alcotest.test_case "U has no memsync" `Quick pipeline_u_has_no_memsync;
-          Alcotest.test_case "optimize flag" `Quick pipeline_optimize_flag;
+          Alcotest.test_case "post-transform optimize" `Quick
+            pipeline_post_transform_optimize;
         ] );
       ( "sync sched",
         [
