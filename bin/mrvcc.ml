@@ -588,7 +588,9 @@ let cmd_exec file bench input threshold mode sync_sched
           replay;
         }
       in
+      let t0 = Unix.gettimeofday () in
       let r = guarded (fun () -> Specrt.run ~opts cfg code ~input) in
+      let exec_ms = (Unix.gettimeofday () -. t0) *. 1000. in
       (match record with
       | Some path ->
         Specrt.write_log path r.Specrt.r_events;
@@ -610,8 +612,11 @@ let cmd_exec file bench input threshold mode sync_sched
       (* The acceptance bar: committed output and memory byte-identical
          to the sequential program, whatever the interleaving did. *)
       let seq_mem = Runtime.Memory.create () in
-      Runtime.Memory.store_all seq_mem code.Runtime.Code.initial_stores;
+      let t0 = Unix.gettimeofday () in
       let seq_out = Runtime.Thread.run_sequential code ~input seq_mem in
+      let seq_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+      Printf.printf "wall: exec %.1f ms, run_sequential %.1f ms, speedup %.2fx\n"
+        exec_ms seq_ms (seq_ms /. Float.max exec_ms 1e-3);
       if r.Specrt.r_output <> seq_out then begin
         prerr_endline "ERROR: exec output differs from sequential!";
         exit 1

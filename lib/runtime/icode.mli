@@ -11,8 +11,9 @@
     pointer chasing, and no string hashing.  Anything non-integral
     (callee names for the unknown-function error path, interned
     [reg option] call destinations) lives in side tables indexed by slot
-    values.  The boxed [Thread] stays the sequential output oracle the
-    encoder is checked against.
+    values.  The sequential phase of the domain runtime ([Specrt])
+    dispatches on it too.  The boxed [Thread] stays the sequential
+    output oracle the encoder is checked against.
 
     {2 Layout}
 

@@ -6,9 +6,19 @@
    buffers are touched only by the owning worker, and all cross-domain
    flags (squash requests, the homefree token, instance end, stuck/stop)
    are Atomics polled in bounded loops.  There are no condition
-   variables anywhere — every block is a poll loop with a tiny sleep
-   that also checks squash/end/stuck — so the runtime cannot hang on a
-   lost wakeup by construction; the wall-clock watchdog covers the rest.
+   variables anywhere — every block is a poll loop that spins with
+   [Domain.cpu_relax] for a bounded number of polls (when the workers
+   fit on the cores), then sleeps 100 µs per poll, and checks squash/end/stop/stuck on every poll and the
+   wall clock every 256 — so the runtime cannot hang on a lost wakeup
+   by construction; the wall-clock watchdog covers the rest.
+
+   Execution engines: the sequential phase (everything outside region
+   instances) runs on the calling domain over flat [Runtime.Icode],
+   allocation-free, straight against committed memory, with sync
+   instructions transparent; its frames carry icode offsets in [pc]
+   and leave [block] unused.  Epochs run on the boxed [Runtime.Thread] stepper with hooks, from a
+   copy of the sequential frame whose [pc] is reset to the header's
+   boxed index 0.
 
    Correctness authority: the epoch holding the homefree token
    re-validates its exposed reads (first-observed values) and consumed
@@ -93,7 +103,7 @@ type exitkind = Exit_back | Exit_out of Ir.Instr.label | Exit_return of int opti
 
 type ep = {
   e_index : int;
-  mutable e_thread : Runtime.Thread.t;
+  e_thread : Runtime.Thread.t;           (* reset per attempt *)
   mutable e_status : estatus;            (* under [m] *)
   mutable e_exitk : exitkind option;     (* owner only *)
   e_writes : (int, int) Hashtbl.t;       (* speculative write buffer *)
@@ -134,10 +144,15 @@ type t = {
   cfg : Tls.Config.t;
   o : opts;
   code : Runtime.Code.t;
+  ic : Runtime.Icode.prog;               (* the sequential phase's code *)
+  heads : Ir.Region.t option array array;
+      (* cf_id -> label -> the region headed there (first in program
+         order wins) *)
+  seq_cap : int;                         (* sequential-phase step cap *)
+  spin_polls : int;                      (* see [backoff] *)
   input : int array;
   committed : Runtime.Memory.t;
   memsys : Tls.Memsys.t;                 (* line math only *)
-  regions_by_func : (string, Ir.Region.t list) Hashtbl.t;
   m : Mutex.t;
   mutable cur : inst option;             (* under [m] *)
   gen : int Atomic.t;
@@ -218,6 +233,20 @@ let check_stuck rt =
     mark_stuck rt;
     raise Abandon
   end
+
+(* [check_stuck] for a poll loop on its [n]th poll: the flags every
+   poll, the wall clock (a syscall) every 256. *)
+let[@inline] poll_stuck rt n =
+  if n land 255 = 0 then check_stuck rt
+  else if Atomic.get rt.stop || Atomic.get rt.stuck then raise Abandon
+
+(* A poll loop's wait before its [n]th retry (counted from 0 since its
+   last progress): spin for the first [rt.spin_polls], since the
+   awaited domain is usually a few hundred instructions away, then
+   sleep so a long wait leaves the core to the domain it is waiting
+   for. *)
+let[@inline] backoff rt n =
+  if n < rt.spin_polls then Domain.cpu_relax () else Unix.sleepf 0.0001
 
 (* Must be called with [m] held. *)
 let note_event rt inst (e : ep) kind =
@@ -529,7 +558,7 @@ let epoch_hooks rt inst (e : ep) : Runtime.Thread.hooks =
 let is_oldest inst (e : ep) = Atomic.get inst.i_oldest = e.e_index
 
 (* Must be called with [m] held. *)
-let reset_attempt_locked rt inst (e : ep) =
+let reset_attempt_locked inst (e : ep) =
   Hashtbl.reset e.e_writes;
   Hashtbl.reset e.e_read_log;
   Hashtbl.reset e.e_read_keys;
@@ -540,31 +569,41 @@ let reset_attempt_locked rt inst (e : ep) =
   e.e_exitk <- None;
   e.e_steps <- 0;
   e.e_attempt <- e.e_attempt + 1;
-  let frame = Runtime.Thread.copy_frame inst.i_base in
-  e.e_thread <- Runtime.Thread.create_from_frame rt.code frame ~input:rt.input
+  let t = e.e_thread in
+  t.Runtime.Thread.frames <- [ Runtime.Thread.copy_frame inst.i_base ];
+  t.Runtime.Thread.output <- [];
+  t.Runtime.Thread.icount <- 0
 
+(* A plain read first: the exchange is a full barrier, and the flag is
+   almost always clear. *)
 let poll_squash rt inst (e : ep) =
-  match Atomic.exchange e.e_squash None with
-  | Some (reason, was_violation) ->
-    if was_violation then
-      locked rt (fun () ->
-          rt.violations <- rt.violations + 1;
-          note_event rt inst e (Ev_violation reason));
-    raise (Squash_attempt reason)
+  match Atomic.get e.e_squash with
   | None -> ()
+  | Some _ -> begin
+    match Atomic.exchange e.e_squash None with
+    | Some (reason, was_violation) ->
+      if was_violation then
+        locked rt (fun () ->
+            rt.violations <- rt.violations + 1;
+            note_event rt inst e (Ev_violation reason));
+      raise (Squash_attempt reason)
+    | None -> ()
+  end
 
 (* Run one attempt of [e] to Done (exit kind set).  Raises
    Squash_attempt / Crash_injected / Abandon / Exec_deadlock. *)
 let run_attempt rt inst (e : ep) =
-  locked rt (fun () -> reset_attempt_locked rt inst e);
+  locked rt (fun () -> reset_attempt_locked inst e);
   let hooks = epoch_hooks rt inst e in
   let crash = crash_fault rt inst e in
   let yield = yield_every rt inst e in
   let cap = rt.cfg.Tls.Config.epoch_max_instrs in
-  let rec steploop () =
+  (* [polls] counts loop iterations (the watchdog cadence), [spins]
+     consecutive blocked ones (the backoff). *)
+  let rec steploop polls spins =
     poll_squash rt inst e;
     if Atomic.get inst.i_ended then raise Abandon;
-    check_stuck rt;
+    poll_stuck rt polls;
     if crash && e.e_steps = 3 then raise Crash_injected;
     (match yield with
     | Some every when e.e_steps mod every = 0 && e.e_steps > 0 ->
@@ -590,30 +629,30 @@ let run_attempt rt inst (e : ep) =
           raise (Squash_attempt "runaway")
         end
       end;
-      steploop ()
+      steploop (polls + 1) 0
     | Runtime.Thread.Blocked ->
-      Unix.sleepf 0.0001;
-      steploop ()
+      backoff rt spins;
+      steploop (polls + 1) (spins + 1)
     | Runtime.Thread.Suspended ->
       locked rt (fun () -> e.e_status <- Done)
     | Runtime.Thread.Finished rv ->
       e.e_exitk <- Some (Exit_return rv);
       locked rt (fun () -> e.e_status <- Done)
   in
-  steploop ()
+  steploop 0 0
 
 (* Poll until [e] holds the homefree token. *)
 let await_token rt inst (e : ep) =
-  let rec loop () =
+  let rec loop n =
     if Atomic.get inst.i_ended then raise Abandon;
-    check_stuck rt;
+    poll_stuck rt n;
     poll_squash rt inst e;
     if not (is_oldest inst e) then begin
-      Unix.sleepf 0.0001;
-      loop ()
+      backoff rt n;
+      loop (n + 1)
     end
   in
-  loop ()
+  loop 0
 
 (* Replay: was this attempt recorded as squashed/violated?  Must be
    called with [m] held. *)
@@ -762,15 +801,15 @@ let on_abort rt inst (e : ep) reason =
    squashes: the retry then runs with committed state frozen and can
    never fail again). *)
 let await_oldest rt inst (e : ep) =
-  let rec loop () =
+  let rec loop n =
     if Atomic.get inst.i_ended then raise Abandon;
-    check_stuck rt;
+    poll_stuck rt n;
     if not (is_oldest inst e) then begin
-      Unix.sleepf 0.0001;
-      loop ()
+      backoff rt n;
+      loop (n + 1)
     end
   in
-  loop ()
+  loop 0
 
 (* Drive one epoch to commit: attempts, rollbacks, containment. *)
 let drive rt inst (e : ep) =
@@ -812,12 +851,17 @@ let drive rt inst (e : ep) =
 
 let register_epoch rt inst k =
   locked rt (fun () ->
-      let frame = Runtime.Thread.copy_frame inst.i_base in
       let e =
         {
           e_index = k;
-          e_thread = Runtime.Thread.create_from_frame rt.code frame
-              ~input:rt.input;
+          e_thread =
+            {
+              Runtime.Thread.code = rt.code;
+              frames = [];
+              input = rt.input;
+              output = [];
+              icount = 0;
+            };
           e_status = Running;
           e_exitk = None;
           e_writes = Hashtbl.create 32;
@@ -974,8 +1018,10 @@ let finish_instance rt inst seq_thread =
     let ep_frame = Runtime.Thread.current_frame winner.e_thread in
     Array.blit ep_frame.Runtime.Thread.regs 0 seq_frame.Runtime.Thread.regs 0
       (Array.length seq_frame.Runtime.Thread.regs);
-    seq_frame.Runtime.Thread.block <- target;
-    seq_frame.Runtime.Thread.pc <- 0;
+    seq_frame.Runtime.Thread.pc <-
+      rt.ic.Runtime.Icode.funcs.(seq_frame.Runtime.Thread.cfunc
+                                   .Runtime.Code.cf_id)
+        .Runtime.Icode.block_off.(target);
     false
   | Some (Exit_return rv) -> begin
     match seq_thread.Runtime.Thread.frames with
@@ -1025,30 +1071,169 @@ let run_instance rt seq_thread (r : Ir.Region.t) =
   progress rt;
   finish_instance rt inst seq_thread
 
-let seq_hooks rt pending : Runtime.Thread.hooks =
-  let base = Runtime.Thread.sequential_hooks rt.committed in
-  {
-    base with
-    Runtime.Thread.control =
-      (fun t ~target ->
-        let fname =
-          (Runtime.Thread.current_frame t).Runtime.Thread.cfunc
-            .Runtime.Code.cf_name
-        in
-        match Hashtbl.find_opt rt.regions_by_func fname with
-        | Some regions -> begin
-          match
-            List.find_opt
-              (fun (r : Ir.Region.t) -> r.Ir.Region.header = target)
-              regions
-          with
-          | Some r ->
-            pending := Some r;
-            false
-          | None -> true
-        end
-        | None -> true);
-  }
+(* The sequential phase, over flat icode (slot layouts in
+   [Runtime.Icode]).  [seq_exec] runs the main domain's thread [t] from
+   offset [pc] of its current frame [f] ([code], [regs] and the region
+   headers [heads] are [f]'s) against committed memory until the
+   program returns.  Sync instructions are transparent: a scalar wait is
+   the identity, a sync load a plain load, the signals no-ops.  A taken
+   branch onto a region header runs that instance and resumes wherever
+   its winning epoch left the thread.  [steps] counts dispatched
+   instructions, a region entry included; it paces the watchdog and
+   bounds a runaway sequential thread.  Top-level recursion with
+   unboxed arguments, so nothing but a call allocates. *)
+
+(* Unchecked reads are licensed by [Runtime.Icode.verify]. *)
+let[@inline] operand code regs w bit k =
+  let x = Array.unsafe_get code k in
+  if w land bit <> 0 then x else Array.unsafe_get regs x
+
+let[@inline] set code regs k v =
+  Array.unsafe_set regs (Array.unsafe_get code k) v
+
+let rec seq_exec rt (t : Runtime.Thread.t) (f : Runtime.Thread.frame) code
+    regs heads pc steps =
+  if steps land 4095 = 0 then begin
+    main_checks rt;
+    progress rt
+  end;
+  if steps > rt.seq_cap then
+    raise
+      (Specrt_stuck
+         {
+           watchdog_ms = rt.o.watchdog_ms;
+           detail =
+             Printf.sprintf "sequential thread exceeded %d steps" rt.seq_cap;
+         });
+  let w = Array.unsafe_get code pc in
+  let op = w land 0xff in
+  if op < 16 then begin
+    set code regs (pc + 2)
+      (Runtime.Icode.eval_binop_i op
+         (operand code regs w 0x100 (pc + 3))
+         (operand code regs w 0x200 (pc + 4)));
+    seq_exec rt t f code regs heads (pc + 5) (steps + 1)
+  end
+  else
+    match op with
+    | 16 (* Mov *) ->
+      set code regs (pc + 2) (operand code regs w 0x100 (pc + 3));
+      seq_exec rt t f code regs heads (pc + 4) (steps + 1)
+    | 17 (* Load *) ->
+      set code regs (pc + 2)
+        (Runtime.Memory.get rt.committed (operand code regs w 0x100 (pc + 3)));
+      seq_exec rt t f code regs heads (pc + 4) (steps + 1)
+    | 18 (* Store *) ->
+      Runtime.Memory.store rt.committed
+        (operand code regs w 0x100 (pc + 2))
+        (operand code regs w 0x200 (pc + 3));
+      seq_exec rt t f code regs heads (pc + 4) (steps + 1)
+    | 19 (* Call *) ->
+      let fidx = Array.unsafe_get code (pc + 2) in
+      if fidx < 0 then
+        failwith
+          ("Thread: call to unknown function "
+          ^ rt.ic.Runtime.Icode.names.(-fidx - 1));
+      let callee = Array.unsafe_get rt.ic.Runtime.Icode.funcs fidx in
+      let cf = callee.Runtime.Icode.fn_cfunc in
+      let callee_regs = Array.make cf.Runtime.Code.cf_nregs 0 in
+      let nargs = Array.unsafe_get code (pc + 4) in
+      Runtime.Icode.bind_args code regs callee_regs cf.Runtime.Code.cf_params
+        (pc + 5) nargs;
+      f.Runtime.Thread.pc <- pc + 5 + (2 * nargs);
+      let cframe =
+        {
+          Runtime.Thread.cfunc = cf;
+          regs = callee_regs;
+          block = 0;
+          pc = 0;
+          ret_to =
+            Array.unsafe_get rt.ic.Runtime.Icode.ret_opts
+              (Array.unsafe_get code (pc + 3));
+          call_iid = Array.unsafe_get code (pc + 1);
+        }
+      in
+      t.Runtime.Thread.frames <- cframe :: t.Runtime.Thread.frames;
+      seq_exec rt t cframe callee.Runtime.Icode.code callee_regs
+        (Array.unsafe_get rt.heads fidx) 0 (steps + 1)
+    | 20 (* Print *) ->
+      t.Runtime.Thread.output <-
+        operand code regs w 0x100 (pc + 2) :: t.Runtime.Thread.output;
+      seq_exec rt t f code regs heads (pc + 3) (steps + 1)
+    | 21 (* Input *) ->
+      let idx = operand code regs w 0x100 (pc + 3) in
+      let input = t.Runtime.Thread.input in
+      set code regs (pc + 2)
+        (if idx >= 0 && idx < Array.length input then input.(idx) else 0);
+      seq_exec rt t f code regs heads (pc + 4) (steps + 1)
+    | 22 (* Input_len *) ->
+      set code regs (pc + 2) (Array.length t.Runtime.Thread.input);
+      seq_exec rt t f code regs heads (pc + 3) (steps + 1)
+    | 26 (* Sync_load *) ->
+      set code regs (pc + 3)
+        (Runtime.Memory.get rt.committed (operand code regs w 0x100 (pc + 4)));
+      seq_exec rt t f code regs heads (pc + 5) (steps + 1)
+    | 23 | 24 | 27 | 28 -> seq_exec rt t f code regs heads (pc + 4) (steps + 1)
+    | 25 | 29 | 30 -> seq_exec rt t f code regs heads (pc + 3) (steps + 1)
+    | 31 (* Jmp *) ->
+      seq_goto rt t f code regs heads
+        (Array.unsafe_get code (pc + 1))
+        (Array.unsafe_get code (pc + 2))
+        steps
+    | 32 (* Br *) ->
+      let k = if operand code regs w 0x100 (pc + 1) <> 0 then 0 else 1 in
+      seq_goto rt t f code regs heads
+        (Array.unsafe_get code (pc + 2 + k))
+        (Array.unsafe_get code (pc + 4 + k))
+        steps
+    | _ (* Ret *) -> begin
+      match t.Runtime.Thread.frames with
+      | _ :: (caller :: _ as rest) ->
+        (match f.Runtime.Thread.ret_to with
+        | Some dst ->
+          caller.Runtime.Thread.regs.(dst) <-
+            (if w land 0x100 = 0 then 0 else operand code regs w 0x200 (pc + 1))
+        | None -> ());
+        t.Runtime.Thread.frames <- rest;
+        seq_resume rt t caller (steps + 1)
+      | _ -> t.Runtime.Thread.frames <- []
+    end
+
+and seq_goto rt t f code regs heads target off steps =
+  match Array.unsafe_get heads target with
+  | None -> seq_exec rt t f code regs heads off (steps + 1)
+  | Some r ->
+    if not (run_instance rt t r) then
+      seq_resume rt t (Runtime.Thread.current_frame t) (steps + 1)
+
+and seq_resume rt t (f : Runtime.Thread.frame) steps =
+  let fidx = f.Runtime.Thread.cfunc.Runtime.Code.cf_id in
+  seq_exec rt t f
+    (Array.unsafe_get rt.ic.Runtime.Icode.funcs fidx).Runtime.Icode.code
+    f.Runtime.Thread.regs
+    (Array.unsafe_get rt.heads fidx)
+    f.Runtime.Thread.pc steps
+
+(* cf_id -> label -> region, for [seq_goto]: one slot per block, so a
+   verified branch label indexes it unchecked. *)
+let region_heads (code : Runtime.Code.t) (ic : Runtime.Icode.prog) =
+  let heads =
+    Array.map
+      (fun (fn : Runtime.Icode.func) ->
+        Array.make (Array.length fn.Runtime.Icode.block_off) None)
+      ic.Runtime.Icode.funcs
+  in
+  List.iter
+    (fun (r : Ir.Region.t) ->
+      match Hashtbl.find_opt code.Runtime.Code.funcs r.Ir.Region.func with
+      | Some cf ->
+        let arr = heads.(cf.Runtime.Code.cf_id) in
+        let h = r.Ir.Region.header in
+        if h >= 0 && h < Array.length arr && Option.is_none arr.(h) then
+          arr.(h) <- Some r
+      | None -> ())
+    code.Runtime.Code.regions;
+  heads
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -1074,15 +1259,7 @@ let run ?opts (cfg : Tls.Config.t) (code : Runtime.Code.t) ~input =
   let serial = o.replay <> None || o.domains = 1 in
   let committed = Runtime.Memory.create () in
   Runtime.Memory.store_all committed code.Runtime.Code.initial_stores;
-  let regions_by_func = Hashtbl.create 8 in
-  List.iter
-    (fun (r : Ir.Region.t) ->
-      let existing =
-        Option.value ~default:[]
-          (Hashtbl.find_opt regions_by_func r.Ir.Region.func)
-      in
-      Hashtbl.replace regions_by_func r.Ir.Region.func (existing @ [ r ]))
-    code.Runtime.Code.regions;
+  let ic = Runtime.Icode.of_code code in
   let forced = Hashtbl.create 16 in
   (match o.replay with Some evs -> fill_forced forced evs | None -> ());
   let rt =
@@ -1090,10 +1267,19 @@ let run ?opts (cfg : Tls.Config.t) (code : Runtime.Code.t) ~input =
       cfg;
       o;
       code;
+      ic;
+      heads = region_heads code ic;
+      seq_cap = cfg.Tls.Config.epoch_max_instrs * 1000;
+      (* Spinning pays only while every worker has a core: with more
+         workers than cores a spinning waiter holds the core its
+         producer needs (4 workers on 2 cores ran the exec chaos matrix
+         about 40% slower with spins than without). *)
+      spin_polls =
+        (if o.domains <= Domain.recommended_domain_count () then 2048
+         else 0);
       input;
       committed;
       memsys = Tls.Memsys.create cfg;
-      regions_by_func;
       m = Mutex.create ();
       cur = None;
       gen = Atomic.make 0;
@@ -1116,8 +1302,6 @@ let run ?opts (cfg : Tls.Config.t) (code : Runtime.Code.t) ~input =
     }
   in
   let seq_thread = Runtime.Thread.create code ~func_name:"main" ~input in
-  let pending = ref None in
-  let hooks = seq_hooks rt pending in
   let workers =
     if serial then []
     else List.init o.domains (fun w -> Domain.spawn (fun () -> worker rt w))
@@ -1127,36 +1311,7 @@ let run ?opts (cfg : Tls.Config.t) (code : Runtime.Code.t) ~input =
     List.iter Domain.join workers
   in
   Fun.protect ~finally:finalize @@ fun () ->
-  let seq_cap = rt.cfg.Tls.Config.epoch_max_instrs * 1000 in
-  let rec seq_loop steps =
-    if steps land 4095 = 0 then begin
-      main_checks rt;
-      progress rt
-    end;
-    if steps > seq_cap then
-      raise
-        (Specrt_stuck
-           {
-             watchdog_ms = o.watchdog_ms;
-             detail =
-               Printf.sprintf "sequential thread exceeded %d steps" seq_cap;
-           });
-    match Runtime.Thread.step seq_thread hooks with
-    | Runtime.Thread.Ran _ -> seq_loop (steps + 1)
-    | Runtime.Thread.Suspended -> begin
-      match !pending with
-      | Some r ->
-        pending := None;
-        let finished = run_instance rt seq_thread r in
-        if not finished then seq_loop (steps + 1)
-      | None ->
-        raise (Exec_deadlock "sequential thread suspended outside a region")
-    end
-    | Runtime.Thread.Blocked ->
-      raise (Exec_deadlock "sequential thread blocked outside a region")
-    | Runtime.Thread.Finished _ -> ()
-  in
-  seq_loop 1;
+  seq_resume rt seq_thread (Runtime.Thread.current_frame seq_thread) 1;
   drain_seq_output rt seq_thread;
   {
     r_output = List.rev rt.output_rev;

@@ -89,6 +89,11 @@ let workload_repeated (w : Workloads.Workload.t) () =
          (exec_opts ~seed Tls.Config.c_mode)
          code input)
   done;
+  (* Two domains: the count the benchmark runs on a 2-core host. *)
+  ignore
+    (exec_diff (name ^ "/2dom") ~sim Tls.Config.c_mode
+       (exec_opts ~domains:2 ~seed:11 Tls.Config.c_mode)
+       code input);
   (* Serial mode (domains = 1) must agree too. *)
   ignore
     (exec_diff (name ^ "/serial") ~sim Tls.Config.c_mode
@@ -228,6 +233,152 @@ let stolen_timeslice_absorbed () =
   ignore (exec_diff "yield/absorbed" Tls.Config.c_mode opts code [||])
 
 (* ------------------------------------------------------------------ *)
+(* Sequential phase: icode hand-off, step cap, allocation              *)
+(* ------------------------------------------------------------------ *)
+
+(* The chain loop left by [break] in mid-body: the winning epoch's
+   Exit_out lands the sequential thread on a label that is not the
+   loop's normal exit test, and [i] must come back from the epoch. *)
+let break_src =
+  "int g;\n\
+   int out[64];\n\
+   int work(int x) { int j; int t; t = x; for (j = 0; j < 10 + x % 7; j = \
+   j + 1) { t = t + ((t << 1) ^ j) % 53; } return t; }\n\
+   void main() {\n\
+  \  int i; int v;\n\
+  \  for (i = 0; i < 40; i = i + 1) {\n\
+  \    v = g;\n\
+  \    out[i % 64] = work(v + i);\n\
+  \    g = v + 1;\n\
+  \    if (i == 23) break;\n\
+  \  }\n\
+  \  print(i);\n\
+  \  print(g);\n\
+  \  print(out[5]);\n\
+   }"
+
+(* The chain loop in a callee: the first instance [return]s from inside
+   the loop (an Exit_return into main's frame, which resumes after the
+   call), the second runs to the loop's normal exit. *)
+let return_src =
+  "int g;\n\
+   int out[64];\n\
+   int work(int x) { int j; int t; t = x; for (j = 0; j < 10 + x % 7; j = \
+   j + 1) { t = t + ((t << 1) ^ j) % 53; } return t; }\n\
+   int find(int n) {\n\
+  \  int i; int v;\n\
+  \  for (i = 0; i < n; i = i + 1) {\n\
+  \    v = g;\n\
+  \    out[i % 64] = work(v + i);\n\
+  \    g = v + 1;\n\
+  \    if (i == 29) return out[i % 64] + i;\n\
+  \  }\n\
+  \  return 0 - 1;\n\
+   }\n\
+   void main() {\n\
+  \  int r;\n\
+  \  r = find(50);\n\
+  \  print(r);\n\
+  \  print(g);\n\
+  \  r = find(10);\n\
+  \  print(r);\n\
+  \  print(out[3]);\n\
+   }"
+
+let handoff label src ~instances () =
+  let code = (compile_src src [||]).Tlscore.Pipeline.code in
+  (* A sequential thread resumed at the wrong offset reruns main until
+     the step cap (epoch_max_instrs * 1000) stops it: keep that quick. *)
+  let cfg = { Tls.Config.c_mode with Tls.Config.epoch_max_instrs = 2_000 } in
+  let sim = Tls.Sim.run cfg code ~input:[||] () in
+  List.iter
+    (fun domains ->
+      let r =
+        exec_diff
+          (Printf.sprintf "%s/%dd" label domains)
+          ~sim cfg
+          (exec_opts ~domains ~seed:domains cfg)
+          code [||]
+      in
+      check_int
+        (Printf.sprintf "%s/%dd: region instances" label domains)
+        instances
+        (List.fold_left (fun acc (_, n) -> acc + n) 0
+           r.Specrt.r_region_instances))
+    [ 1; 4 ]
+
+(* A loop outside any region: the original program, which has none. *)
+let region_free_src =
+  "int a[16];\n\
+   void main() {\n\
+  \  int i; int s;\n\
+  \  s = 0;\n\
+  \  for (i = 0; i < 100000; i = i + 1) {\n\
+  \    a[i % 16] = a[(i + 3) % 16] + i;\n\
+  \    s = s + a[i % 16] % 7;\n\
+  \  }\n\
+  \  print(s);\n\
+   }"
+
+let region_free_code () =
+  Runtime.Code.of_prog (Tlscore.Pipeline.original ~source:region_free_src)
+
+(* Instructions and terminators the boxed oracle dispatches to run
+   [code] to completion: what the sequential phase counts as steps. *)
+let boxed_steps (code : Runtime.Code.t) =
+  let mem = Runtime.Memory.create () in
+  Runtime.Memory.store_all mem code.Runtime.Code.initial_stores;
+  let t = Runtime.Thread.create code ~func_name:"main" ~input:[||] in
+  let hooks = Runtime.Thread.sequential_hooks mem in
+  let rec go () =
+    match Runtime.Thread.step t hooks with
+    | Runtime.Thread.Finished _ -> t.Runtime.Thread.icount
+    | _ -> go ()
+  in
+  go ()
+
+(* The sequential phase may dispatch [epoch_max_instrs * 1000] steps and
+   no more: a program of [n] steps passes under the smallest cap >= n
+   and is stopped, typed, under the largest cap < n. *)
+let sequential_step_cap () =
+  let code = region_free_code () in
+  let n = boxed_steps code in
+  let run_with k =
+    let cfg = { Tls.Config.c_mode with Tls.Config.epoch_max_instrs = k } in
+    Specrt.run ~opts:(exec_opts ~domains:1 cfg) cfg code ~input:[||]
+  in
+  let seq_out, _ = sequential_ref code [||] in
+  Alcotest.(check (list int)) "cap >= steps: runs to completion" seq_out
+    (run_with ((n + 999) / 1000)).Specrt.r_output;
+  match run_with ((n - 1) / 1000) with
+  | _ -> Alcotest.fail "expected Specrt_stuck"
+  | exception Specrt.Specrt_stuck { detail; _ } ->
+    let needle = "sequential thread exceeded" in
+    check_bool
+      (Printf.sprintf "detail names the sequential cap: %S" detail)
+      true
+      (String.length detail >= String.length needle
+      && String.sub detail 0 (String.length needle) = needle)
+
+(* The sequential phase dispatches without allocating: a run dominated
+   by a region-free loop stays under 0.1 minor words per step, set-up
+   (encoding, committed memory) included. *)
+let sequential_phase_allocation () =
+  let code = region_free_code () in
+  let n = boxed_steps code in
+  let cfg = Tls.Config.c_mode in
+  let opts = exec_opts ~domains:1 cfg in
+  ignore (Specrt.run ~opts cfg code ~input:[||]);
+  let before = Gc.minor_words () in
+  ignore (Specrt.run ~opts cfg code ~input:[||]);
+  let words = Gc.minor_words () -. before in
+  let per_step = words /. float_of_int n in
+  check_bool
+    (Printf.sprintf "%.0f minor words over %d steps (%.4f/step) < 0.1/step"
+       words n per_step)
+    true (per_step < 0.1)
+
+(* ------------------------------------------------------------------ *)
 (* Record/replay: a real nondeterministic violation, reproduced        *)
 (* ------------------------------------------------------------------ *)
 
@@ -360,6 +511,17 @@ let () =
             dropped_wakeup_self_heals;
           Alcotest.test_case "stolen timeslice absorbed" `Quick
             stolen_timeslice_absorbed;
+        ] );
+      ( "sequential",
+        [
+          Alcotest.test_case "region left by break" `Quick
+            (handoff "break" break_src ~instances:1);
+          Alcotest.test_case "callee region left by return" `Quick
+            (handoff "return" return_src ~instances:2);
+          Alcotest.test_case "step cap is exact and typed" `Quick
+            sequential_step_cap;
+          Alcotest.test_case "no allocation per step" `Quick
+            sequential_phase_allocation;
         ] );
       ( "replay",
         [
